@@ -209,7 +209,7 @@ let serve_bench ?(fast = false) ?(connections = 0) () =
   let iters = if fast then 25 else 200 in
   let oc = open_out "BENCH_serve.json" in
   (* Idle herd: [connections] open-but-quiet clients held for the whole
-     bench. The poll engine must carry every one (no FD_SETSIZE cliff,
+     bench. The event engine must carry every one (no FD_SETSIZE cliff,
      no per-connection thread) while the active connection runs the
      mixes at full speed. *)
   let herd = Array.init connections (fun _ -> Server.Client.connect ~port ()) in
@@ -492,21 +492,39 @@ let run_benchmarks () =
       Printf.printf "%-50s %15s\n" name pretty)
     rows
 
+let usage =
+  "usage: main.exe [tables|bench|serve|cluster|streams|all] [-j N] [--fast] [--trace FILE] \
+   [--connections N]"
+
+let usage_error msg =
+  prerr_endline ("bench: " ^ msg);
+  prerr_endline usage;
+  exit 2
+
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> usage_error (Printf.sprintf "%s expects an integer, got %S" flag v)
+
 let () =
-  (* Usage: main.exe [tables|bench|serve|cluster|all] [-j N] [--fast] [--trace FILE].
-     [-j] shards the Monte-Carlo tables over N domains; the printed tables
+  (* [-j] shards the Monte-Carlo tables over N domains; the printed tables
      are identical at any N. [--trace] writes the whole run's span trace as
-     a Perfetto-loadable Chrome trace_event file. *)
+     a Perfetto-loadable Chrome trace_event file. An unknown argument or a
+     malformed number prints the usage line and exits 2. *)
   let args = Array.to_list Sys.argv in
   let rec parse mode jobs fast trace conns = function
     | [] -> (mode, jobs, fast, trace, conns)
-    | ("-j" | "--jobs") :: v :: rest -> parse mode (int_of_string_opt v) fast trace conns rest
+    | (("-j" | "--jobs") as f) :: v :: rest ->
+        parse mode (Some (int_arg f v)) fast trace conns rest
     | "--fast" :: rest -> parse mode jobs true trace conns rest
     | "--trace" :: v :: rest -> parse mode jobs fast (Some v) conns rest
-    | "--connections" :: v :: rest -> parse mode jobs fast trace (int_of_string_opt v) rest
+    | ("--connections" as f) :: v :: rest ->
+        parse mode jobs fast trace (Some (int_arg f v)) rest
     | ("tables" | "bench" | "serve" | "cluster" | "streams" | "all") as m :: rest ->
         parse m jobs fast trace conns rest
-    | _ :: rest -> parse mode jobs fast trace conns rest
+    | [ ("-j" | "--jobs" | "--trace" | "--connections") as f ] ->
+        usage_error (f ^ " expects a value")
+    | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   let mode, jobs, fast, trace, conns = parse "all" None false None None (List.tl args) in
   let jobs = match jobs with Some j when j > 0 -> Some j | Some _ | None -> None in

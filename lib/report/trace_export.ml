@@ -90,12 +90,15 @@ let phase_totals ?(since = neg_infinity) ?(until = infinity) events =
    [f], and writes the merged trace to [path] even if [f] raises — a
    crashed run still leaves an inspectable trace. [with_file None f] is
    just [f ()]. Tracing state is left enabled so callers composing
-   several phases (bench) keep recording. *)
+   several phases (bench) keep recording. Each domain's ring holds 2^20
+   events (8 MB of slots): a traced sketchd answering tens of thousands
+   of requests a second records several events per request, and the
+   default 65536-event ring would drop the start of a one-second burst. *)
 let with_file out f =
   match out with
   | None -> f ()
   | Some path ->
-      Stdx.Trace.enable ();
+      Stdx.Trace.enable ~capacity:(1 lsl 20) ();
       let write () =
         let events = Stdx.Trace.dump () in
         let dropped = (Stdx.Trace.stats ()).Stdx.Trace.dropped in

@@ -1,10 +1,13 @@
 (* sketchd's TCP layer, rebuilt as an event engine: ONE thread owns every
-   socket — the listener, a wake pipe, and all client connections — via
-   poll(2) ([Poll], no FD_SETSIZE cliff), so thousands of idle clients
-   cost file descriptors, not threads. Compute still lands on the
-   [Scheduler]'s worker domains; replies come back to the event thread as
-   posted completions (action queue + wake pipe) and leave through a
-   buffered, non-blocking write path.
+   socket — the listener, a wake pipe, and all client connections — via a
+   persistent epoll(7) registration ([Poll], no FD_SETSIZE cliff), so
+   thousands of idle clients cost file descriptors, not threads, and not
+   per-request work either: each socket is registered once, its interest
+   changes only when it flips, and the loop visits only the connections
+   the kernel reports ready or whose completions just ran. Compute still
+   lands on the [Scheduler]'s worker domains; replies come back to the
+   event thread as posted completions (action queue + wake pipe) and
+   leave through a buffered, non-blocking write path.
 
    Each connection is an explicit state machine owned by the event thread:
 
@@ -17,6 +20,11 @@
    the moment the peer closes, which flips the cancellation flag the
    scheduler probes — replacing the old select(2)-based client_gone peek
    that silently broke for fds >= FD_SETSIZE.
+
+   Registrations are keyed by a per-connection id, never the descriptor
+   number: a connection closed early in a ready batch can have its number
+   re-accepted later in the same batch, and a stale report for the old
+   connection must not reach the new one.
 
    The hardening knobs live here, each observable via `stats` and a trace
    instant: a max-connections cap (accept, best-effort 503 frame, close —
@@ -98,7 +106,9 @@ end
 (* Connection state                                                    *)
 
 type conn = {
+  id : int;  (* the connection's [Poll] key *)
   fd : Unix.file_descr;
+  mutable interest : int;  (* the mask currently registered with [Poll] *)
   decoder : Wire.Decoder.t;
   outq : string Queue.t;  (* encoded frames awaiting socket room *)
   mutable out_off : int;  (* bytes of the head frame already written *)
@@ -140,12 +150,21 @@ type t = {
   mutable abort : bool;
   mutable ev_thread : Thread.t option;
   (* Event-thread-only state below. *)
-  conns : (Unix.file_descr, conn) Hashtbl.t;
+  conns : (int, conn) Hashtbl.t;  (* by [conn.id] *)
   dispatch : Dispatch.t option;
   rbuf : Bytes.t;
-  pset : Poll.set;
+  poller : Poll.t;
+  mutable next_id : int;
+  tick_ms : int;  (* wait timeout and idle-sweep period *)
+  mutable next_sweep : float;
   mutable listener_open : bool;
 }
+
+(* [Poll] keys of the two fixed registrations; connections count up from
+   [first_conn_key] and are never reused. *)
+let wake_key = 0
+let listen_key = 1
+let first_conn_key = 2
 
 let port t = t.port
 
@@ -179,9 +198,30 @@ let close_conn t conn =
   if not conn.dead then begin
     conn.dead <- true;
     Atomic.set conn.gone true;
-    Hashtbl.remove t.conns conn.fd;
+    Hashtbl.remove t.conns conn.id;
+    Poll.remove t.poller conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
     metric t Metrics.conn_closed
+  end
+
+(* The interest a connection's state calls for. Back-pressure by
+   omission: pending output (POLLOUT only) or a full pending queue
+   suspends reads; EOF'd and garbage streams are never read again. *)
+let interest_of conn =
+  if not (Queue.is_empty conn.outq) then Poll.pollout
+  else if (not conn.eof) && Queue.length conn.pending < pending_max then Poll.pollin
+  else 0
+
+(* Bring the kernel registration in line with the connection's state —
+   a syscall only when the interest flips. Called on every connection the
+   loop touched: ready ones and those whose completion just ran. *)
+let sync_interest t conn =
+  if not conn.dead then begin
+    let want = interest_of conn in
+    if want <> conn.interest then
+      match Poll.modify t.poller conn.fd ~key:conn.id want with
+      | () -> conn.interest <- want
+      | exception Unix.Unix_error _ -> close_conn t conn
   end
 
 (* Push as much of the out-queue into the socket as it will take; stop at
@@ -283,7 +323,8 @@ and on_reply t conn reply =
        buffered remainder drains via POLLOUT outside the span, much as
        the blocking daemon's write_frame could block inside it). *)
     Stdx.Trace.complete ~t0:conn.req_t0 ~t1:(Unix.gettimeofday ()) "daemon.request";
-    pump t conn
+    pump t conn;
+    sync_interest t conn
   end
 
 (* Frame reassembly over freshly read bytes. A framing error parks one
@@ -369,9 +410,13 @@ let admit t fd =
   else begin
     Stdx.Trace.instant "daemon.accept";
     let now = Unix.gettimeofday () in
+    let id = t.next_id in
+    t.next_id <- id + 1;
     let conn =
       {
+        id;
         fd;
+        interest = Poll.pollin;
         decoder = Wire.Decoder.create ();
         outq = Queue.create ();
         out_off = 0;
@@ -388,8 +433,11 @@ let admit t fd =
         req_t0 = now;
       }
     in
-    Hashtbl.replace t.conns fd conn;
-    metric t Metrics.conn_opened
+    match Poll.add t.poller fd ~key:id conn.interest with
+    | () ->
+        Hashtbl.replace t.conns id conn;
+        metric t Metrics.conn_opened
+    | exception Unix.Unix_error _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   end
 
 let accept_burst t =
@@ -409,15 +457,17 @@ let accept_burst t =
 (* ------------------------------------------------------------------ *)
 (* The loop                                                            *)
 
+(* At most once per [tick_ms]: the sweep is the one pass over every open
+   connection, so it must not run on every wakeup of a busy loop. *)
 let idle_sweep t =
-  if t.cfg.idle_timeout_s > 0. then begin
-    let now = Unix.gettimeofday () in
+  let now = Unix.gettimeofday () in
+  if t.cfg.idle_timeout_s > 0. && now >= t.next_sweep then begin
+    t.next_sweep <- now +. (float_of_int t.tick_ms /. 1000.);
     let victims =
       Hashtbl.fold
         (fun _ conn acc ->
           if
             (not conn.busy) && Queue.is_empty conn.outq && Queue.is_empty conn.pending
-            && (not conn.dead)
             && now -. conn.last_activity > t.cfg.idle_timeout_s
           then conn :: acc
           else acc)
@@ -459,15 +509,37 @@ let run_actions t =
   in
   Queue.iter (fun f -> try f () with _ -> ()) batch
 
+(* One connection's readiness report from the kernel. *)
+let on_ready t conn events =
+  if events land Poll.pollerr <> 0 then close_conn t conn
+  else begin
+    if events land Poll.pollout <> 0 then begin
+      try_flush t conn;
+      if not conn.dead then pump t conn
+    end;
+    if (not conn.dead) && events land Poll.pollin <> 0 then read_conn t conn
+    else if
+        (* HUP with nothing readable and nothing in flight: the peer is
+           gone for good — let read observe the EOF. *)
+        (not conn.dead) && events land Poll.pollhup <> 0
+        && Queue.is_empty conn.outq && not conn.busy
+      then read_conn t conn;
+    sync_interest t conn
+  end
+
+let close_listener t =
+  if t.listener_open then begin
+    t.listener_open <- false;
+    Poll.remove t.poller t.listen_fd;
+    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+  end
+
 let event_loop t =
   let rec loop () =
     run_actions t;
     let stopping, abort = locked t (fun () -> (t.stopping, t.abort)) in
-    if stopping && t.listener_open then begin
-      t.listener_open <- false;
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
-    end;
     if stopping then begin
+      close_listener t;
       let all = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
       List.iter
         (fun conn ->
@@ -479,66 +551,24 @@ let event_loop t =
     end;
     if stopping && Hashtbl.length t.conns = 0 then ()
     else begin
-      Poll.clear t.pset;
-      let wake_slot = Poll.add t.pset t.wake_r Poll.pollin in
-      let listen_slot =
-        if t.listener_open then Some (Poll.add t.pset t.listen_fd Poll.pollin) else None
-      in
-      let regs =
-        Hashtbl.fold
-          (fun _ conn acc ->
-            let interest =
-              if not (Queue.is_empty conn.outq) then Poll.pollout
-              else if (not conn.eof) && Queue.length conn.pending < pending_max then
-                (* Back-pressure by omission: pending output (the branch
-                   above) or a full pending queue suspends reads; EOF'd
-                   and garbage streams are never read again. *)
-                Poll.pollin
-              else 0
-            in
-            (Poll.add t.pset conn.fd interest, conn) :: acc)
-          t.conns []
-      in
-      let timeout_ms =
-        if stopping then 50
-        else if t.cfg.idle_timeout_s > 0. then
-          max 10 (min 1000 (int_of_float (t.cfg.idle_timeout_s *. 250.)))
-        else 1000
-      in
-      ignore (Poll.wait t.pset ~timeout_ms);
-      if Poll.revents t.pset wake_slot land Poll.pollin <> 0 then drain_wake t;
-      (match listen_slot with
-      | Some slot when Poll.revents t.pset slot land Poll.pollin <> 0 -> accept_burst t
-      | _ -> ());
-      List.iter
-        (fun (slot, conn) ->
-          if not conn.dead then begin
-            let r = Poll.revents t.pset slot in
-            if r land (Poll.pollerr lor Poll.pollnval) <> 0 then close_conn t conn
-            else begin
-              if r land Poll.pollout <> 0 then begin
-                try_flush t conn;
-                if not conn.dead then pump t conn
-              end;
-              if (not conn.dead) && r land Poll.pollin <> 0 then read_conn t conn
-              else if
-                  (* HUP with nothing readable and nothing in flight: the
-                     peer is gone for good — let read observe the EOF. *)
-                  (not conn.dead) && r land Poll.pollhup <> 0
-                  && Queue.is_empty conn.outq && not conn.busy
-                then read_conn t conn
-            end
-          end)
-        regs;
+      let n = Poll.wait t.poller ~timeout_ms:(if stopping then 50 else t.tick_ms) in
+      for i = 0 to n - 1 do
+        let key = Poll.key t.poller i in
+        if key = wake_key then drain_wake t
+        else if key = listen_key then accept_burst t
+        else
+          (* A miss is a connection closed earlier in this batch. *)
+          match Hashtbl.find_opt t.conns key with
+          | Some conn -> on_ready t conn (Poll.events t.poller i)
+          | None -> ()
+      done;
       idle_sweep t;
       loop ()
     end
   in
   loop ();
-  if t.listener_open then begin
-    t.listener_open <- false;
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-  end
+  close_listener t;
+  Poll.close t.poller
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -564,6 +594,9 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
+  let poller = Poll.create () in
+  Poll.add poller wake_r ~key:wake_key Poll.pollin;
+  Poll.add poller listen_fd ~key:listen_key Poll.pollin;
   let t =
     {
       ahandle;
@@ -583,7 +616,12 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
       conns = Hashtbl.create 64;
       dispatch;
       rbuf = Bytes.create 65536;
-      pset = Poll.create_set ();
+      poller;
+      next_id = first_conn_key;
+      tick_ms =
+        (if idle_timeout_s > 0. then max 10 (min 1000 (int_of_float (idle_timeout_s *. 250.)))
+         else 1000);
+      next_sweep = 0.;
       listener_open = true;
     }
   in

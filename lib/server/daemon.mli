@@ -1,11 +1,15 @@
-(** The [sketchd] TCP daemon: a single poll(2)-based event loop owning
+(** The [sketchd] TCP daemon: a single epoll(7)-based event loop owning
     every socket — {!Service} does the thinking, this module does the I/O.
 
     Concurrency shape: one event thread multiplexes the listener and all
-    client connections via {!Poll} (no [select], no [FD_SETSIZE] cliff);
-    frames reassemble incrementally on {!Wire.Decoder}; compute rides the
-    {!Scheduler}'s worker domains and replies return to the event thread
-    as posted completions. Each connection is an explicit state machine:
+    client connections via {!Poll} (no [select], no [FD_SETSIZE] cliff).
+    Each socket is registered once and its interest changed only when it
+    flips, so an idle connection costs a descriptor and no per-request
+    work: the loop visits only the connections the kernel reports ready
+    or whose replies just completed. Frames reassemble incrementally on
+    {!Wire.Decoder}; compute rides the {!Scheduler}'s worker domains and
+    replies return to the event thread as posted completions. Each
+    connection is an explicit state machine:
     at most one request in flight (replies stay in request order, so
     clients may pipeline), partial writes buffered per connection, and
     reads suspended while output is pending or the pending-request queue
@@ -64,7 +68,7 @@ val start_handler :
   unit ->
   t
 (** {!start} generalised over the request brain: the same event engine —
-    poll loop, frame reassembly, buffered writes, connection limits,
+    epoll loop, frame reassembly, buffered writes, connection limits,
     graceful drain — around an arbitrary blocking payload-to-reply
     function. This is how {!Proxy} listens without duplicating any socket
     machinery. [handle] runs on an internal pool of [dispatch_threads]

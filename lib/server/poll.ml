@@ -1,63 +1,40 @@
-(* OCaml face of the poll(2) stub: parallel fds/events/revents arrays,
-   resized geometrically by the caller (see [ensure]). Only the first [n]
-   entries of each array are live on any given call. *)
+(* OCaml face of the epoll(7) stub: one kernel registration set plus a
+   preallocated ready buffer of (key, events) pairs, two int slots per
+   ready descriptor, overwritten by each [wait]. *)
 
-external poll_stub :
-  Unix.file_descr array -> int array -> int array -> int -> int -> int
-  = "sketchlb_poll"
+external epoll_create : unit -> Unix.file_descr = "sketchlb_epoll_create"
 
-external constants : unit -> int * int * int * int * int = "sketchlb_poll_constants"
+external epoll_ctl : Unix.file_descr -> int -> Unix.file_descr -> int -> int -> unit
+  = "sketchlb_epoll_ctl"
 
-let pollin, pollout, pollerr, pollhup, pollnval = constants ()
+external epoll_wait : Unix.file_descr -> int array -> int -> int = "sketchlb_epoll_wait"
+external constants : unit -> int * int * int * int = "sketchlb_epoll_constants"
 
-type set = {
-  mutable fds : Unix.file_descr array;
-  mutable events : int array;
-  mutable revents : int array;
-  mutable n : int;
-}
+let pollin, pollout, pollerr, pollhup = constants ()
 
-let create_set () =
-  {
-    fds = Array.make 64 Unix.stdin;
-    events = Array.make 64 0;
-    revents = Array.make 64 0;
-    n = 0;
-  }
+(* Indices into the stub's op table. *)
+let op_add = 0
+let op_mod = 1
+let op_del = 2
 
-let clear s = s.n <- 0
+type t = { epfd : Unix.file_descr; ready : int array }
 
-(* Make room for at least [extra] more entries. *)
-let ensure s extra =
-  let need = s.n + extra in
-  if need > Array.length s.fds then begin
-    let cap = ref (Array.length s.fds) in
-    while !cap < need do
-      cap := !cap * 2
-    done;
-    let fds = Array.make !cap Unix.stdin in
-    let events = Array.make !cap 0 in
-    let revents = Array.make !cap 0 in
-    Array.blit s.fds 0 fds 0 s.n;
-    Array.blit s.events 0 events 0 s.n;
-    s.fds <- fds;
-    s.events <- events;
-    s.revents <- revents
-  end
+(* Ready descriptors reported per wait; level-triggered readiness left
+   over is reported by the next one. *)
+let max_events = 256
 
-(* Register one fd with an interest mask; returns its slot index. *)
-let add s fd events =
-  ensure s 1;
-  let i = s.n in
-  s.fds.(i) <- fd;
-  s.events.(i) <- events;
-  s.revents.(i) <- 0;
-  s.n <- i + 1;
-  i
+let create () = { epfd = epoll_create (); ready = Array.make (2 * max_events) 0 }
 
-let wait s ~timeout_ms =
-  match poll_stub s.fds s.events s.revents s.n timeout_ms with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
+let close t = Unix.close t.epfd
+let add t fd ~key interest = epoll_ctl t.epfd op_add fd key interest
+let modify t fd ~key interest = epoll_ctl t.epfd op_mod fd key interest
 
-let revents s i = s.revents.(i)
+(* A descriptor already closed (EBADF) or never registered (ENOENT) has
+   nothing left to remove. *)
+let remove t fd =
+  try epoll_ctl t.epfd op_del fd 0 0
+  with Unix.Unix_error ((Unix.EBADF | Unix.ENOENT), _, _) -> ()
+
+let wait t ~timeout_ms = epoll_wait t.epfd t.ready timeout_ms
+let key t i = t.ready.(2 * i)
+let events t i = t.ready.((2 * i) + 1)

@@ -1,9 +1,18 @@
-(** A thin binding to [poll(2)] — readiness over an explicit fd array, so
-    the event engine has no [FD_SETSIZE] cliff (the stdlib only exposes
-    [select(2)], whose fd sets cap out at 1024 descriptors on Linux).
+(** A thin binding to Linux [epoll(7)]: a persistent, level-triggered
+    registration set kept in the kernel. A descriptor is registered once
+    with {!add}, its interest changed with {!modify} only when it flips,
+    and a {!wait} costs O(ready descriptors), not O(registered) — an idle
+    connection costs nothing per wait. No [FD_SETSIZE] cliff either (the
+    stdlib only exposes [select(2)], capped at 1024 descriptors).
 
-    The syscall runs with the OCaml runtime lock released; worker domains
-    and completion posters keep running while the event thread sleeps. *)
+    Every registration carries an integer key chosen by the caller and
+    reported back with its readiness. Keying by a per-object id rather
+    than the descriptor number keeps a stale report for a closed
+    descriptor from reaching a newer owner of the same number.
+
+    The wait runs with the OCaml runtime lock released; worker domains
+    and completion posters keep running while the event thread sleeps.
+    Not thread-safe — a [t] is owned by one thread. *)
 
 val pollin : int
 (** Readable (or a pending connection on a listener). *)
@@ -15,33 +24,42 @@ val pollerr : int
 (** Error condition (always reported, never requested). *)
 
 val pollhup : int
-(** Peer hung up (always reported, never requested). *)
+(** Hang-up (always reported, never requested). *)
 
-val pollnval : int
-(** Invalid descriptor (always reported, never requested). *)
+type t
+(** An epoll instance plus its preallocated ready buffer. *)
 
-type set
-(** A reusable registration buffer: parallel fd/interest/result arrays,
-    grown geometrically and rebuilt (via {!clear} + {!add}) each loop
-    iteration. Not thread-safe — owned by the event thread. *)
+val create : unit -> t
+(** A fresh, empty registration set. Each {!wait} reports at most 256
+    descriptors; readiness left unreported stays pending for the next
+    wait (level-triggered). *)
 
-val create_set : unit -> set
-(** An empty set with a small initial capacity. *)
+val close : t -> unit
+(** Release the epoll descriptor. *)
 
-val clear : set -> unit
-(** Forget every registration (capacity is kept). *)
+val add : t -> Unix.file_descr -> key:int -> int -> unit
+(** [add t fd ~key interest] registers [fd] with an interest mask (an
+    [lor] of {!pollin}/{!pollout}; [0] reports only {!pollerr} and
+    {!pollhup}). Raises [Unix.Unix_error] if [fd] is already registered
+    or invalid. *)
 
-val add : set -> Unix.file_descr -> int -> int
-(** [add s fd interest] registers [fd] with an interest mask (an [lor] of
-    {!pollin}/{!pollout}; [0] polls only for errors) and returns the slot
-    index to pass to {!revents} after {!wait}. *)
+val modify : t -> Unix.file_descr -> key:int -> int -> unit
+(** Replace a registered descriptor's key and interest mask. *)
 
-val wait : set -> timeout_ms:int -> int
-(** Block until at least one registered fd is ready or the timeout lapses
-    ([-1] = forever, [0] = non-blocking probe). Returns the number of
-    ready descriptors; [EINTR] surfaces as [0] (the caller re-loops).
-    Raises [Unix.Unix_error] on real failures. *)
+val remove : t -> Unix.file_descr -> unit
+(** Deregister [fd]; call it before closing the descriptor. Removing a
+    descriptor that is closed or not registered is a no-op. *)
 
-val revents : set -> int -> int
-(** The result mask of slot [i] after the last {!wait} — test with
-    [revents land pollin <> 0] etc. *)
+val wait : t -> timeout_ms:int -> int
+(** Block until at least one registered descriptor is ready or the
+    timeout lapses ([-1] = forever, [0] = non-blocking probe). Returns
+    the number [n] of ready descriptors, readable with {!key} and
+    {!events} at indices [0 .. n-1] until the next wait; [EINTR]
+    surfaces as [0] (the caller re-loops). Raises [Unix.Unix_error] on
+    real failures. *)
+
+val key : t -> int -> int
+(** The key of the [i]-th ready descriptor of the last {!wait}. *)
+
+val events : t -> int -> int
+(** Its readiness mask — test with [events land pollin <> 0] etc. *)

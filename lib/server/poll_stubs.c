@@ -1,20 +1,21 @@
-/* A minimal poll(2) binding for the event-driven daemon core.
+/* A minimal epoll(7) binding for the event-driven daemon core.
  *
  * The OCaml standard library only exposes select(2), whose fd_set caps
- * out at FD_SETSIZE (1024 on Linux) — one silent cliff the daemon used
- * to live under.  poll(2) takes an explicit array, so the only limit is
- * the process's fd rlimit.
+ * out at FD_SETSIZE (1024 on Linux), and poll(2) makes the caller hand
+ * the kernel its whole interest set on every call.  epoll keeps the
+ * registration in the kernel: a descriptor is added once, changed only
+ * when its interest flips, and a wait costs O(ready), not O(registered).
  *
- * Calling convention: the OCaml side keeps three parallel arrays
- * (fds, events, revents) and tells us how many leading entries are
- * live.  We build the struct pollfd array on the C heap, release the
- * OCaml runtime lock for the duration of the syscall (other threads —
- * worker domains, completion posters — keep running), and copy the
- * revents back.  Unix.file_descr is an int on Unix, so Int_val/Val_int
- * move descriptors directly.
+ * Each registration carries an opaque integer key (epoll_event.data),
+ * chosen by the caller; the wait stub copies (key, events) pairs into a
+ * preallocated OCaml int array, two slots per ready descriptor.  The
+ * runtime lock is released for the duration of epoll_wait (other threads
+ * — worker domains, completion posters — keep running), and the kernel
+ * writes into a C stack buffer, never the OCaml heap.  Unix.file_descr
+ * is an int on Unix, so Int_val moves descriptors directly.
  */
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <errno.h>
 
 #include <caml/mlvalues.h>
@@ -24,54 +25,70 @@
 #include <caml/signals.h>
 #include <caml/unixsupport.h>
 
-CAMLprim value sketchlb_poll(value v_fds, value v_events, value v_revents,
-                             value v_n, value v_timeout_ms)
+/* Upper bound on events returned by one wait (the OCaml buffer holds
+ * 256).  Level-triggered readiness left unreported stays ready and is
+ * returned by the next wait. */
+#define SKETCHLB_MAX_EVENTS 256
+
+CAMLprim value sketchlb_epoll_create(value unit)
 {
-  CAMLparam5(v_fds, v_events, v_revents, v_n, v_timeout_ms);
-  int n = Int_val(v_n);
+  int fd = epoll_create1(EPOLL_CLOEXEC);
+  (void) unit;
+  if (fd < 0) uerror("epoll_create1", Nothing);
+  return Val_int(fd);
+}
+
+CAMLprim value sketchlb_epoll_ctl(value v_epfd, value v_op, value v_fd,
+                                  value v_key, value v_events)
+{
+  static const int ops[] = { EPOLL_CTL_ADD, EPOLL_CTL_MOD, EPOLL_CTL_DEL };
+  struct epoll_event ev;
+  ev.events = (uint32_t) Int_val(v_events);
+  ev.data.u64 = (uint64_t) Long_val(v_key);
+  if (epoll_ctl(Int_val(v_epfd), ops[Int_val(v_op)], Int_val(v_fd), &ev) < 0)
+    uerror("epoll_ctl", Nothing);
+  return Val_unit;
+}
+
+CAMLprim value sketchlb_epoll_wait(value v_epfd, value v_buf, value v_timeout_ms)
+{
+  CAMLparam1(v_buf);
+  struct epoll_event evs[SKETCHLB_MAX_EVENTS];
+  int epfd = Int_val(v_epfd);
   int timeout_ms = Int_val(v_timeout_ms);
-  struct pollfd *pfds;
-  int ret, i;
+  int max = (int) (Wosize_val(v_buf) / 2);
+  int n, err, i;
 
-  if (n < 0 || (uintnat) n > Wosize_val(v_fds)
-      || (uintnat) n > Wosize_val(v_events)
-      || (uintnat) n > Wosize_val(v_revents))
-    caml_invalid_argument("Poll.poll: n out of bounds");
-
-  pfds = caml_stat_alloc(sizeof(struct pollfd) * (n == 0 ? 1 : n));
-  for (i = 0; i < n; i++) {
-    pfds[i].fd = Int_val(Field(v_fds, i));
-    pfds[i].events = (short) Int_val(Field(v_events, i));
-    pfds[i].revents = 0;
-  }
+  if (max > SKETCHLB_MAX_EVENTS) max = SKETCHLB_MAX_EVENTS;
+  if (max < 1) caml_invalid_argument("Poll.wait: empty ready buffer");
 
   caml_enter_blocking_section();
-  ret = poll(pfds, (nfds_t) n, timeout_ms);
+  n = epoll_wait(epfd, evs, max, timeout_ms);
+  err = errno;
   caml_leave_blocking_section();
 
-  if (ret < 0) {
-    caml_stat_free(pfds);
-    uerror("poll", Nothing);
+  if (n < 0) {
+    if (err == EINTR) CAMLreturn(Val_int(0));
+    unix_error(err, "epoll_wait", Nothing);
   }
-  /* Plain immediates into a preallocated int array: no caml_modify needed,
-   * but Store_field keeps us honest if the array representation changes. */
-  for (i = 0; i < n; i++)
-    Store_field(v_revents, i, Val_int(pfds[i].revents));
-  caml_stat_free(pfds);
-  CAMLreturn(Val_int(ret));
+  /* Immediates into an int array: Store_field stays cheap and correct. */
+  for (i = 0; i < n; i++) {
+    Store_field(v_buf, 2 * i, Val_long((intnat) evs[i].data.u64));
+    Store_field(v_buf, 2 * i + 1, Val_int(evs[i].events));
+  }
+  CAMLreturn(Val_int(n));
 }
 
 /* The event-bit constants are platform-defined; export them rather than
  * hard-coding Linux's values in OCaml. */
-CAMLprim value sketchlb_poll_constants(value unit)
+CAMLprim value sketchlb_epoll_constants(value unit)
 {
   CAMLparam1(unit);
   CAMLlocal1(res);
-  res = caml_alloc_tuple(5);
-  Store_field(res, 0, Val_int(POLLIN));
-  Store_field(res, 1, Val_int(POLLOUT));
-  Store_field(res, 2, Val_int(POLLERR));
-  Store_field(res, 3, Val_int(POLLHUP));
-  Store_field(res, 4, Val_int(POLLNVAL));
+  res = caml_alloc_tuple(4);
+  Store_field(res, 0, Val_int(EPOLLIN));
+  Store_field(res, 1, Val_int(EPOLLOUT));
+  Store_field(res, 2, Val_int(EPOLLERR));
+  Store_field(res, 3, Val_int(EPOLLHUP));
   CAMLreturn(res);
 }

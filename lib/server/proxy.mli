@@ -90,7 +90,7 @@ val start :
   backends:string list ->
   unit ->
   t
-(** {!create}, then listen via {!Daemon.start_handler} (the same poll
+(** {!create}, then listen via {!Daemon.start_handler} (the same epoll
     event engine, frame reassembly and graceful drain as sketchd — the
     proxy inherits every connection knob) and start a background health
     pinger sweeping every [health_interval_s] (default 2.0) seconds.

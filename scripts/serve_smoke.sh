@@ -6,7 +6,7 @@
 # require the process to actually exit.
 #
 # Then the event engine at scale: `bench serve --connections 5000` holds
-# five thousand idle connections on the poll loop (ulimit raised first,
+# five thousand idle connections on the epoll loop (ulimit raised first,
 # clamped to the hard limit) while the latency mixes run, sheds the
 # over-cap extras with 503 frames, and the resulting BENCH_serve.json
 # must parse.
@@ -83,7 +83,7 @@ for _ in $(seq 1 100); do
 done
 [ -z "$daemon_pid" ] || fail "daemon still running 10s after shutdown RPC"
 
-# The poll engine at scale: 5000 idle connections held for the whole
+# The event engine at scale: 5000 idle connections held for the whole
 # bench (≈ 10k descriptors — client and in-process daemon share the
 # process), the over-cap extras shed with 503 conn-limit frames, and a
 # sampled herd still answering at the end. Raise the fd soft limit first,
@@ -98,6 +98,8 @@ if [ "$soft" != "unlimited" ] && [ "$soft" -lt 10500 ]; then
   conns=$(( (soft - 500) / 2 ))
   echo "serve-smoke: fd limit $soft too small for 5000 connections; scaling to $conns"
 fi
+# The bench must refuse a malformed number with the usage line and exit 2.
+rc=0; "$BENCH" serve --connections 5k >/dev/null 2>&1 || rc=$?; [ "$rc" = 2 ] || fail "bench accepted --connections 5k (exit $rc, want 2)"
 "$BENCH" serve --fast --connections "$conns" >"$tmp/bench_serve.out"
 grep -q "target=$conns" "$tmp/bench_serve.out" || fail "connection herd did not run: $(cat "$tmp/bench_serve.out")"
 grep -q 'shed=8 (saw 8/8 conn-limit frames)' "$tmp/bench_serve.out" \

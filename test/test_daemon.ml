@@ -1,12 +1,15 @@
-(* The poll-based event engine, attacked over real sockets: incremental
+(* The epoll-based event engine, attacked over real sockets: incremental
    frame reassembly (slowloris), pipelining with in-order replies,
-   buffered partial writes to a stalled reader, the idle-timeout /
+   buffered partial writes to a stalled reader, connection churn that
+   reuses descriptor numbers under a pipelining client, the idle-timeout /
    rate-limit / max-connections hardening knobs, EOF-driven compute
    cancellation, and connections whose fd number exceeds FD_SETSIZE —
    the cliff that broke the old select(2)-based client_gone probe.
 
-   [Wire.Decoder] unit tests live here too: the daemon's framing is only
-   as good as reassembly across arbitrary chunk boundaries. *)
+   [Wire.Decoder] and [Poll] unit tests live here too: the daemon's
+   framing is only as good as reassembly across arbitrary chunk
+   boundaries, and its scheduling only as good as the readiness the
+   registration reports. *)
 
 module T = Report.Tabular
 module W = Server.Wire
@@ -101,6 +104,57 @@ let test_decoder_defenses () =
     | exception W.Oversized _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Poll: persistent registration over a pipe and a socket pair         *)
+
+let test_poll_registration () =
+  let module P = Server.Poll in
+  let p = P.create () in
+  let r, w = Unix.pipe () and a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      P.close p;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; w; b ])
+    (fun () ->
+      (* Keys come back verbatim — a full-width int, not a descriptor. *)
+      let kr = 1 lsl 40 and ka = 7 in
+      let ready () =
+        let n = P.wait p ~timeout_ms:0 in
+        List.sort compare (List.init n (fun i -> (P.key p i, P.events p i)))
+      in
+      let reports key bit = List.exists (fun (k, e) -> k = key && e land bit <> 0) (ready ()) in
+      let quiet () = ready () = [] in
+      let put fd = ignore (Unix.write_substring fd "x" 0 1) in
+      let take fd = ignore (Unix.read fd (Bytes.create 16) 0 16) in
+      P.add p r ~key:kr P.pollin;
+      P.add p a ~key:ka 0;
+      checkb "empty pipe and zero interest: nothing ready" true (quiet ());
+      put w;
+      checkb "pipe readable under its key" true (reports kr P.pollin);
+      checkb "level-triggered: reported again while unread" true (reports kr P.pollin);
+      take r;
+      checkb "drained pipe goes quiet" true (quiet ());
+      P.modify p a ~key:ka P.pollout;
+      checkb "interest flipped to out: writable" true (reports ka P.pollout);
+      P.modify p a ~key:ka P.pollin;
+      checkb "flipped to in, nothing sent: quiet" true (quiet ());
+      put b;
+      checkb "flipped to in: readable" true (reports ka P.pollin);
+      P.modify p a ~key:ka 0;
+      checkb "flipped to 0: unread data not reported" true (quiet ());
+      P.modify p a ~key:ka P.pollin;
+      checkb "flipped back to in: still readable" true (reports ka P.pollin);
+      take a;
+      P.remove p r;
+      put w;
+      checkb "removed descriptor no longer reported" true (quiet ());
+      (* Closing deregisters in the kernel; removing it afterwards, or
+         removing twice, must be harmless. *)
+      Unix.close a;
+      P.remove p a;
+      P.remove p r;
+      checkb "still quiet after harmless removes" true (quiet ()))
+
+(* ------------------------------------------------------------------ *)
 (* Slowloris and pipelining                                            *)
 
 let test_slowloris () =
@@ -109,7 +163,7 @@ let test_slowloris () =
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          (* One byte every 5 ms: the frame trickles in over ~15 poll
+          (* One byte every 5 ms: the frame trickles in over ~15 loop
              wakeups; the decoder must reassemble it exactly once. *)
           String.iter
             (fun c ->
@@ -166,6 +220,78 @@ let test_stalled_reader_buffered_writes () =
           for i = 1 to 64 do
             checks (Printf.sprintf "stalled reply %d byte-identical" i) warm (W.read_frame fd)
           done))
+
+(* Re-check [cond] every 10 ms for up to 2 s: the event loop observes
+   accepts and FINs asynchronously. *)
+let eventually cond =
+  let rec go attempts =
+    cond ()
+    || attempts > 0
+       && (Thread.delay 0.01;
+           go (attempts - 1))
+  in
+  go 200
+
+(* The gauge behind the `stats` RPC's [connections.open], read in process
+   so that reading it opens no connection of its own. *)
+let open_conns d =
+  let m = Server.Service.metrics (Server.Daemon.service d) in
+  (Server.Metrics.snapshot m).Server.Metrics.conns_open
+
+let test_churn_reuses_descriptors () =
+  with_daemon ~workers:1 ~capacity:8 (fun d port ->
+      let baseline = open_conns d in
+      let run_req =
+        T.string_of_json
+          (T.Jobj [ ("op", T.Jstr "run"); ("id", T.Jstr "claim31"); ("smoke", T.Jbool true) ])
+      in
+      let req j =
+        if j mod 4 = 3 then run_req
+        else Printf.sprintf "{\"op\":\"cache\",\"action\":\"keys\",\"prefix\":\"q%d\"}" j
+      in
+      let batch = 16 in
+      (* Reference replies, one request at a time (the run warms the
+         cache, so every later run is a byte-identical hit). *)
+      let expected =
+        Server.Client.with_connection ~port (fun c ->
+            Array.init batch (fun j -> Server.Client.request c (req j)))
+      in
+      let frames = String.concat "" (List.init batch (fun j -> W.encode (req j))) in
+      let churn_done = Atomic.make false in
+      let mismatches = ref 0 and answered = ref 0 in
+      let fd = connect port in
+      let pipeliner =
+        Thread.create
+          (fun () ->
+            let rounds = ref 0 in
+            while !rounds < 8 || not (Atomic.get churn_done) do
+              send_all fd frames;
+              for j = 0 to batch - 1 do
+                if W.read_frame fd <> expected.(j) then incr mismatches;
+                incr answered
+              done;
+              incr rounds
+            done)
+          ()
+      in
+      (* Open and close 300 connections meanwhile; a third of them leave
+         an unread request behind. Each close frees descriptor numbers
+         on both sides that the next connect — or the daemon's next
+         accept — takes again. *)
+      for i = 1 to 300 do
+        let c = connect port in
+        if i mod 3 = 0 then send_all c (W.encode "{\"op\":\"ping\"}");
+        Unix.close c
+      done;
+      Atomic.set churn_done true;
+      Thread.join pipeliner;
+      Unix.close fd;
+      checkb "pipeliner answered through the churn" true (!answered >= 8 * batch);
+      checki "every reply byte-identical and in order" 0 !mismatches;
+      (* The loop closes its side of each churned connection as it sees
+         the FIN; give it a moment to catch up. *)
+      ignore (eventually (fun () -> open_conns d = baseline));
+      checki "open connections back to baseline" baseline (open_conns d))
 
 (* ------------------------------------------------------------------ *)
 (* Hardening knobs                                                     *)
@@ -280,12 +406,16 @@ let test_beyond_fd_setsize () =
      client_gone probe faulted on such fds and reported every client
      gone — computes came back 499 to a live, waiting client. The event
      loop's EOF flag has no such cliff: the compute must answer ok. *)
-  with_daemon ~workers:1 ~capacity:4 (fun _ port ->
+  with_daemon ~workers:1 ~capacity:4 (fun d port ->
       let herd = Array.init 600 (fun _ -> connect port) in
       Fun.protect
         ~finally:(fun () ->
           Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) herd)
         (fun () ->
+          (* Let the daemon accept the whole herd first, so its side of
+             each connection holds a descriptor too and no lower number
+             is left free for [high]. *)
+          ignore (eventually (fun () -> open_conns d >= 600));
           let high = connect port in
           Fun.protect
             ~finally:(fun () -> try Unix.close high with Unix.Unix_error _ -> ())
@@ -396,6 +526,8 @@ let () =
           Alcotest.test_case "reassembly across chunk sizes" `Quick test_decoder_reassembly;
           Alcotest.test_case "header defenses" `Quick test_decoder_defenses;
         ] );
+      ( "poll",
+        [ Alcotest.test_case "registration follows interest" `Quick test_poll_registration ] );
       ( "connections",
         [
           Alcotest.test_case "slowloris byte-at-a-time" `Quick test_slowloris;
@@ -403,6 +535,8 @@ let () =
             test_pipelining_in_order;
           Alcotest.test_case "stalled reader gets buffered writes" `Quick
             test_stalled_reader_buffered_writes;
+          Alcotest.test_case "churn reuses descriptors, replies stay in order" `Quick
+            test_churn_reuses_descriptors;
         ] );
       ( "limits",
         [
