@@ -3,7 +3,13 @@ module Public_coins = Sketchmodel.Public_coins
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
 
-type state = { decided : bool array; mis_rev : int list; fresh : int list }
+type state = {
+  pi : int array;
+  pos : int array;
+  decided : bool array;
+  mis_rev : int list;
+  fresh : int list;
+}
 
 let blocks ~n ~rounds =
   if rounds < 1 then invalid_arg "Frontier.blocks: rounds must be >= 1";
@@ -18,34 +24,34 @@ let blocks ~n ~rounds =
   done;
   cutoffs
 
-(* The permutation is public: every player and the referee re-derive it
-   from the coins, costing no communication. *)
-let shared_order coins ~n =
-  let rng = Public_coins.global coins "frontier-prefix-permutation" in
-  let pi = Stdx.Prng.permutation rng n in
+(* The permutation is public: derived once per run from the coins and
+   carried in the state, so it costs no communication and no per-player
+   re-derivation. *)
+let init ~n coins =
+  let pi =
+    Stdx.Prng.permutation (Public_coins.global coins "frontier-prefix-permutation") n
+  in
   let pos = Array.make n 0 in
   Array.iteri (fun p v -> pos.(v) <- p) pi;
-  (pi, pos)
+  { pi; pos; decided = Array.make n false; mis_rev = []; fresh = [] }
 
 (* Round t: every still-undecided player reports its undecided neighbours
    inside the round's prefix [0, s_t). Decided players stay silent (empty
    sketch). Undecided neighbours in *earlier* blocks cannot exist — greedy
    over a block decides all its members — so the reports are exactly the
    edges against the new block. *)
-let player ~cutoffs ~round (view : Model.view) state coins =
+let player ~cutoffs ~round (view : Model.view) state =
   let w = Writer.create () in
   let v = view.Model.vertex in
   if not state.decided.(v) then begin
-    let _, pos = shared_order coins ~n:view.Model.n in
     let cutoff = cutoffs.(round - 1) in
     Writer.int_list w
       (Array.to_list view.Model.neighbors
-      |> List.filter (fun u -> pos.(u) < cutoff && not state.decided.(u)))
+      |> List.filter (fun u -> state.pos.(u) < cutoff && not state.decided.(u)))
   end;
   w
 
-let referee ~rounds ~cutoffs ~round ~n ~state ~sketches coins =
-  let pi, _ = shared_order coins ~n in
+let referee ~rounds ~cutoffs ~round ~n ~state ~sketches =
   let lo = if round = 1 then 0 else cutoffs.(round - 2) in
   let hi = cutoffs.(round - 1) in
   let adj = Array.make n [] in
@@ -62,7 +68,7 @@ let referee ~rounds ~cutoffs ~round ~n ~state ~sketches coins =
   let new_in = Array.make n false in
   let fresh = ref [] in
   for p = lo to hi - 1 do
-    let v = pi.(p) in
+    let v = state.pi.(p) in
     if (not state.decided.(v)) && not (List.exists (fun u -> new_in.(u)) adj.(v))
     then begin
       new_in.(v) <- true;
@@ -77,7 +83,7 @@ let referee ~rounds ~cutoffs ~round ~n ~state ~sketches coins =
   let fresh = List.rev !fresh in
   let mis_rev = List.rev_append fresh state.mis_rev in
   if round = rounds then Rounds.Finish (List.rev mis_rev)
-  else Rounds.Continue { decided; mis_rev; fresh }
+  else Rounds.Continue { state with decided; mis_rev; fresh }
 
 let encode_broadcast state =
   let w = Writer.create () in
@@ -91,13 +97,11 @@ let protocol ~rounds ~n =
   {
     Rounds.name = Printf.sprintf "frontier-prefix-mis-r%d" rounds;
     max_rounds = rounds;
-    init =
-      (fun ~n _coins ->
-        { decided = Array.make n false; mis_rev = []; fresh = [] });
-    player = (fun ~round view state coins -> player ~cutoffs ~round view state coins);
+    init;
+    player = (fun ~round view state _coins -> player ~cutoffs ~round view state);
     referee =
-      (fun ~round ~n ~state ~sketches coins ->
-        referee ~rounds ~cutoffs ~round ~n ~state ~sketches coins);
+      (fun ~round ~n ~state ~sketches _coins ->
+        referee ~rounds ~cutoffs ~round ~n ~state ~sketches);
     encode_broadcast;
   }
 

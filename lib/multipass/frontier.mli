@@ -2,7 +2,8 @@
     frontier.
 
     Generalises the two-round protocol of [Protocols.Two_round_mis] to any
-    number of rounds. A shared random permutation π splits the vertices
+    number of rounds. A shared random permutation π — derived once per run
+    from the coins, carried in state, never broadcast — splits the vertices
     into r blocks with boundaries s_t = ⌈n^(t/r)⌉ (s_r = n); round t runs
     referee-side greedy over the still-undecided vertices of block t, using
     only the edges the undecided players report against that block. After
@@ -18,6 +19,10 @@
     exactly this curve. *)
 
 type state = {
+  pi : int array;
+      (** the shared permutation π: derived once per run from the coins,
+          carried in state, never broadcast *)
+  pos : int array;  (** π's inverse: [pos.(pi.(p)) = p] *)
   decided : bool array;  (** chosen or dominated so far *)
   mis_rev : int list;  (** members, most recent first *)
   fresh : int list;  (** members added by the latest round (broadcast) *)

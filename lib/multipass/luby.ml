@@ -15,17 +15,32 @@ type state = {
   degs_fresh : bool;
   chosen : bool array;
   blocked : bool array;
+  label : string;
+  draws : int array;
 }
 
-let draw coins ~label v = Stdx.Prng.int (Public_coins.keyed coins label v) (1 lsl 40)
+(* The round's public-coin priorities, filled on first use: each
+   (round, vertex) draw is derived at most once, by whichever player or
+   comparison needs it first. Draws lie in [0, 2^40), so -1 marks "not yet
+   drawn". Index priority never draws and carries an empty array. *)
+let undrawn = -1
+
+let draw coins ~label draws v =
+  let d = draws.(v) in
+  if d <> undrawn then d
+  else begin
+    let d = Stdx.Prng.int (Public_coins.keyed coins label v) (1 lsl 40) in
+    draws.(v) <- d;
+    d
+  end
 
 (* u strictly beats v; a total order (id tie-breaks), so two active
    neighbours can never join in the same round. *)
-let beats kind ~degs coins ~label u v =
+let beats kind ~degs ~prio u v =
   match kind with
   | Index -> u > v
   | Random ->
-      let pu = draw coins ~label u and pv = draw coins ~label v in
+      let pu = prio u and pv = prio v in
       pu > pv || (pu = pv && u > v)
   | Degree ->
       let du = degs.(u) and dv = degs.(v) in
@@ -33,10 +48,16 @@ let beats kind ~degs coins ~label u v =
       ||
       (du = dv
       &&
-      let pu = draw coins ~label u and pv = draw coins ~label v in
+      let pu = prio u and pv = prio v in
       pu > pv || (pu = pv && u > v))
 
 let round_label kind lr = Printf.sprintf "mp-luby-%s-r%d" (priority_name kind) lr
+
+(* The coin label and an unfilled draw array for Luby round [lr]. *)
+let priorities kind ~n lr =
+  match kind with
+  | Index -> ("", [||])
+  | Random | Degree -> (round_label kind lr, Array.make n undrawn)
 
 let needs_degrees = function Degree -> true | Random | Index -> false
 
@@ -47,11 +68,14 @@ let protocol kind ~n =
     max_rounds = n + 2 + prep;
     init =
       (fun ~n _coins ->
+        let label, draws = priorities kind ~n 1 in
         {
           degs = None;
           degs_fresh = false;
           chosen = Array.make n false;
           blocked = Array.make n false;
+          label;
+          draws;
         });
     player =
       (fun ~round (view : Model.view) state coins ->
@@ -60,7 +84,7 @@ let protocol kind ~n =
         if round <= prep then Writer.uvarint w (Array.length view.Model.neighbors)
         else if not (state.chosen.(v) || state.blocked.(v)) then begin
           let degs = match state.degs with Some d -> d | None -> [||] in
-          let label = round_label kind (round - prep) in
+          let prio = draw coins ~label:state.label state.draws in
           let blocked_now =
             Array.exists (fun u -> state.chosen.(u)) view.Model.neighbors
           in
@@ -69,7 +93,7 @@ let protocol kind ~n =
             && Array.for_all
                  (fun u ->
                    state.chosen.(u) || state.blocked.(u)
-                   || beats kind ~degs coins ~label v u)
+                   || beats kind ~degs ~prio v u)
                  view.Model.neighbors
           in
           Writer.bit w joins;
@@ -80,6 +104,8 @@ let protocol kind ~n =
       (fun ~round ~n ~state ~sketches _coins ->
         if round <= prep then begin
           let degs = Array.map Reader.uvarint sketches in
+          (* Prep players never draw: Luby round 1's priorities from
+             [init] are still unfilled. *)
           Rounds.Continue { state with degs = Some degs; degs_fresh = true }
         end
         else begin
@@ -98,8 +124,10 @@ let protocol kind ~n =
           for v = 0 to n - 1 do
             if not (chosen.(v) || blocked.(v)) then active := true
           done;
-          if !active then
-            Rounds.Continue { state with chosen; blocked; degs_fresh = false }
+          if !active then begin
+            let label, draws = priorities kind ~n (round - prep + 1) in
+            Rounds.Continue { state with chosen; blocked; degs_fresh = false; label; draws }
+          end
           else begin
             let out = ref [] in
             for v = n - 1 downto 0 do

@@ -14,7 +14,8 @@
 
     Priorities:
     - {!Random}: fresh public-coin draws each round (classic Luby) — no
-      extra communication, both sides derive the draws from the coins;
+      extra communication: each (round, vertex) draw is derived once per
+      run from the coins, carried in state, never broadcast;
     - {!Degree}: lower degree beats higher (random + id tie-breaks) —
       players cannot see neighbours' degrees, so a one-round degree
       exchange precedes the Luby rounds (uvarint up, degree vector down);
@@ -32,6 +33,11 @@ type state = {
   degs_fresh : bool;  (** charge the degree vector only once *)
   chosen : bool array;
   blocked : bool array;
+  label : string;  (** this round's coin label (empty under {!Index}) *)
+  draws : int array;
+      (** this round's public-coin priorities, filled lazily (-1 = not yet
+          drawn) so each is derived at most once; reset every round, never
+          broadcast; empty under {!Index} *)
 }
 
 val protocol : priority -> n:int -> (state, Dgraph.Mis.t) Rounds.protocol

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Allocation regression gate for the scratch-arena work (PERFORMANCE.md).
+# Allocation regression gate for the hot experiment loops (PERFORMANCE.md §7).
 #
 # Regenerates BENCH_tables.json at --fast with jobs=1 (the GC counters
 # are domain-local, so only jobs=1 measures the whole table), validates
@@ -7,11 +7,11 @@
 # experiment's body allocation exceeds its committed ceiling.
 #
 # The ceilings are deliberately loose against the measured numbers
-# (bcc ~4 MB, info-accounting ~126 MB, connectivity ~73 MB at --fast on
-# the reference container) but far below the pre-arena baselines
-# (1528 / 578 / 419 MB) — they catch a lost optimisation, not runtime
-# noise. Raise a ceiling only with a PERFORMANCE.md update explaining
-# the new cost.
+# (bcc ~4 MB, info-accounting ~126 MB, connectivity ~73 MB,
+# round-frontier ~2 MB at --fast on the reference container) but far
+# below the baselines before each optimisation (1528 / 578 / 419 /
+# 28 MB) — they catch a lost optimisation, not runtime noise. Raise a
+# ceiling only with a PERFORMANCE.md update explaining the new cost.
 #
 # Run from the repo root after a build (`make alloc-smoke` does both).
 set -euo pipefail
@@ -42,5 +42,6 @@ gate() { # id ceiling_bytes
 gate bcc              67108864    # 64 MB  (measured ~4 MB;   baseline 1528 MB)
 gate info-accounting  202375168   # 193 MB (measured ~126 MB; baseline 578 MB)
 gate connectivity     146800640   # 140 MB (measured ~73 MB;  baseline 419 MB)
+gate round-frontier   8388608     # 8 MB   (measured ~2 MB;   baseline 28 MB)
 
 echo "alloc-smoke: OK"

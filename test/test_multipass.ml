@@ -156,7 +156,79 @@ let test_frontier_r1_ships_adjacency () =
   let _, s4 = Multipass.Frontier.run ~rounds:4 g coins in
   checkb "r=4 max message below r=1" true (s4.MP.max_bits < s1.MP.max_bits)
 
+let test_frontier_init_derives_order () =
+  (* The permutation is public randomness: [init] derives it once from the
+     same coin stream the protocol has always used, and [pos] inverts it. *)
+  List.iter
+    (fun (n, seed) ->
+      let coins = PC.create seed in
+      let p = Multipass.Frontier.protocol ~rounds:3 ~n in
+      let st = p.MP.init ~n coins in
+      let expect =
+        Stdx.Prng.permutation (PC.global coins "frontier-prefix-permutation") n
+      in
+      checkb (Printf.sprintf "pi is the coin permutation (n=%d)" n) true
+        (st.Multipass.Frontier.pi = expect);
+      checkb "pos inverts pi" true
+        (Array.length st.Multipass.Frontier.pos = n
+        && Array.for_all Fun.id
+             (Array.mapi (fun i v -> st.Multipass.Frontier.pos.(v) = i) expect)))
+    [ (0, 1); (1, 2); (17, 3); (100, 4) ]
+
+(* Bytes allocated by one [f ()] on this domain: the least of three calls
+   after a warm-up. The first call pays one-time costs unrelated to the
+   rounds, and a window that spans an early minor collection over-counts
+   by up to the minor heap's size (~2 MB), so one sample is not enough. *)
+let allocated f =
+  ignore (f ());
+  List.fold_left min infinity
+    (List.init 3 (fun _ ->
+         let a0 = Gc.allocated_bytes () in
+         ignore (Sys.opaque_identity (f ()));
+         Gc.allocated_bytes () -. a0))
+
+let test_frontier_alloc_ceiling () =
+  (* One derivation per run: ~1.3 MB at n = 512. Re-deriving the
+     permutation per undecided player per round allocates ~170 MB. *)
+  let n = 512 in
+  let g = Dgraph.Gen.gnp (Stdx.Prng.create 5) n (8.0 /. float_of_int n) in
+  let coins = PC.create 9 in
+  let bytes = allocated (fun () -> Multipass.Frontier.run ~rounds:4 g coins) in
+  checkb (Printf.sprintf "r=4 run allocates %.0f B < 16 MB" bytes) true (bytes < 16e6)
+
 (* ---- Luby priority variants ---- *)
+
+let test_luby_draws_match_keyed_coins () =
+  (* Round 1's lazily filled priorities are exactly the keyed coin draws
+     the players would derive themselves; untouched entries stay -1. *)
+  let g = Dgraph.Gen.gnp (Stdx.Prng.create 43) 30 0.2 in
+  let n = G.n g in
+  let coins = PC.create 44 in
+  let p = Multipass.Luby.protocol Multipass.Luby.Random ~n in
+  let st = p.MP.init ~n coins in
+  Array.iter (fun view -> ignore (p.MP.player ~round:1 view st coins)) (Model.views g);
+  let label = "mp-luby-random-r1" in
+  checkb "label is round 1's" true (st.Multipass.Luby.label = label);
+  checkb "some draws filled" true (Array.exists (fun d -> d >= 0) st.Multipass.Luby.draws);
+  Array.iteri
+    (fun v d ->
+      if d >= 0 then
+        checki (Printf.sprintf "draw of %d" v)
+          (Stdx.Prng.int (PC.keyed coins label v) (1 lsl 40))
+          d)
+    st.Multipass.Luby.draws;
+  let index = Multipass.Luby.protocol Multipass.Luby.Index ~n in
+  checki "index never draws" 0 (Array.length (index.MP.init ~n coins).Multipass.Luby.draws)
+
+let test_luby_alloc_ceiling () =
+  (* Each (round, vertex) priority is derived at most once: ~1.6 MB at
+     n = 512. Deriving it per comparison (twice per active neighbour per
+     round) allocates ~3.9 MB. *)
+  let n = 512 in
+  let g = Dgraph.Gen.gnp (Stdx.Prng.create 5) n (8.0 /. float_of_int n) in
+  let coins = PC.create 9 in
+  let bytes = allocated (fun () -> Multipass.Luby.run Multipass.Luby.Random g coins) in
+  checkb (Printf.sprintf "random run allocates %.0f B < 3 MB" bytes) true (bytes < 3e6)
 
 let test_luby_maximal_all_priorities () =
   List.iteri
@@ -309,6 +381,9 @@ let () =
           Alcotest.test_case "block cutoffs" `Quick test_frontier_blocks;
           Alcotest.test_case "maximal for all r" `Quick test_frontier_maximal_all_rounds;
           Alcotest.test_case "r=1 ships adjacency" `Quick test_frontier_r1_ships_adjacency;
+          Alcotest.test_case "init derives the shared order" `Quick
+            test_frontier_init_derives_order;
+          Alcotest.test_case "allocation ceiling" `Quick test_frontier_alloc_ceiling;
         ] );
       ( "luby",
         [
@@ -316,6 +391,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_luby_deterministic;
           Alcotest.test_case "index priority path worst case" `Quick test_luby_index_path_is_slow;
           Alcotest.test_case "degree prep round" `Quick test_luby_degree_prep_round;
+          Alcotest.test_case "draws match keyed coins" `Quick test_luby_draws_match_keyed_coins;
+          Alcotest.test_case "allocation ceiling" `Quick test_luby_alloc_ceiling;
         ] );
       ( "stream-matching",
         [
