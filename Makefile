@@ -1,4 +1,4 @@
-.PHONY: all build test smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke doc check bench bench-release clean
+.PHONY: all build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke doc check bench bench-release clean
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test: build
 	dune runtest
+
+# Runs every examples/*.exe end to end (~0.5 s in total, no files
+# written). sketch_gallery is the only text output of the two-round and
+# hypergraph multi-round stats outside the golden tables.
+examples: build
+	for e in _build/default/examples/*.exe; do echo "== $$e"; $$e || exit 1; done
 
 # Tiny end-to-end run exercising the parallel trial engine (jobs > 1):
 # must print the same table as --jobs 1, per the determinism contract.
@@ -61,7 +67,7 @@ alloc-smoke: build
 doc:
 	dune build @doc
 
-check: build test smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke
+check: build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke
 
 # Regenerates every table and writes BENCH_tables.json (one JSON line per
 # table: id, title, wall-clock, body-only alloc_bytes and GC collection

@@ -424,18 +424,18 @@ let streams_bench ?(fast = false) () =
   List.iter
     (fun (name, run) ->
       let (mis, stats), wall = Stdx.Parallel.timed run in
-      let s : Multipass.Rounds.stats = stats in
+      let s : Sketchmodel.Rounds.stats = stats in
       Printf.printf "%-18s rounds=%-3d max=%6d bits  total=%8d bits  bcast=%6d bits  %s\n%!"
-        name s.Multipass.Rounds.rounds s.Multipass.Rounds.max_bits
-        s.Multipass.Rounds.total_bits s.Multipass.Rounds.broadcast_bits
+        name s.Sketchmodel.Rounds.rounds s.Sketchmodel.Rounds.max_bits
+        s.Sketchmodel.Rounds.total_bits s.Sketchmodel.Rounds.broadcast_bits
         (if Dgraph.Mis.is_maximal g mis then "maximal" else "NOT MAXIMAL");
       Printf.fprintf oc
         "{\"bench\":\"rounds\",\"protocol\":%S,\"m\":%d,\"n\":%d,\"rounds\":%d,\"max_bits\":%d,\"total_bits\":%d,\"broadcast_bits\":%d,\"round_max\":%s,\"round_total\":%s,\"round_broadcast\":%s,\"wall_s\":%s}\n"
-        name m (Dgraph.Graph.n g) s.Multipass.Rounds.rounds s.Multipass.Rounds.max_bits
-        s.Multipass.Rounds.total_bits s.Multipass.Rounds.broadcast_bits
-        (jarr_a s.Multipass.Rounds.round_max)
-        (jarr_a s.Multipass.Rounds.round_total)
-        (jarr_a s.Multipass.Rounds.round_broadcast)
+        name m (Dgraph.Graph.n g) s.Sketchmodel.Rounds.rounds s.Sketchmodel.Rounds.max_bits
+        s.Sketchmodel.Rounds.total_bits s.Sketchmodel.Rounds.broadcast_bits
+        (jarr_a s.Sketchmodel.Rounds.round_max)
+        (jarr_a s.Sketchmodel.Rounds.round_total)
+        (jarr_a s.Sketchmodel.Rounds.round_broadcast)
         (T.float_repr wall))
     round_runs;
   (* Multi-pass streaming matching on gnp. *)

@@ -59,14 +59,14 @@ let () =
   let mm, mm_stats = stage "two-round-mm" (fun () -> Protocols.Two_round_mm.run g coins) in
   Printf.printf "   filtering MM : maximal=%b  per-player %d bits (r1=%d r2=%d), sqrt(n)=%.0f\n"
     (Dgraph.Matching.is_maximal g mm)
-    mm_stats.Sketchmodel.Rounds.max_bits mm_stats.Sketchmodel.Rounds.round1_max
-    mm_stats.Sketchmodel.Rounds.round2_max
+    mm_stats.Sketchmodel.Rounds.max_bits mm_stats.Sketchmodel.Rounds.round_max.(0)
+    mm_stats.Sketchmodel.Rounds.round_max.(1)
     (sqrt (float_of_int n));
   let mis, mis_stats = stage "two-round-mis" (fun () -> Protocols.Two_round_mis.run g coins) in
   Printf.printf "   prefix MIS   : maximal=%b  per-player %d bits (r1=%d r2=%d)\n"
     (Dgraph.Mis.is_maximal g mis)
-    mis_stats.Sketchmodel.Rounds.max_bits mis_stats.Sketchmodel.Rounds.round1_max
-    mis_stats.Sketchmodel.Rounds.round2_max;
+    mis_stats.Sketchmodel.Rounds.max_bits mis_stats.Sketchmodel.Rounds.round_max.(0)
+    mis_stats.Sketchmodel.Rounds.round_max.(1);
 
   (* --- 4. Hypergraphs --- *)
   print_endline "\n4. k-uniform hypergraph maximal matching (DESIGN.md \xc2\xa711)";
@@ -77,8 +77,8 @@ let () =
     triv_stats.Sketchmodel.Model.max_bits;
   let it, it_stats = stage "hyper-iterated-mm" (fun () -> Protocols.Hyper_mm.run_iterated h hcoins) in
   Printf.printf "   iterated MM  : |M|=%d  max sketch %d bits over %d rounds (bcast %d bits)\n"
-    (List.length it) it_stats.Protocols.Hyper_views.max_bits
-    it_stats.Protocols.Hyper_views.rounds it_stats.Protocols.Hyper_views.broadcast_bits;
+    (List.length it) it_stats.Sketchmodel.Rounds.max_bits
+    it_stats.Sketchmodel.Rounds.rounds it_stats.Sketchmodel.Rounds.broadcast_bits;
 
   print_endline
     "\nThe paper's Result 1 sits exactly between these: one round is Omega(sqrt n)-hard\n\

@@ -51,12 +51,12 @@ let compute ~n ~m ~ks ~seed =
         triv_bits = triv_stats.Sketchmodel.Model.max_bits;
         triv_ok = matching_ok h triv;
         msize = List.length it;
-        it_rounds = it_stats.Protocols.Hyper_views.rounds;
-        it_bits = it_stats.Protocols.Hyper_views.max_bits;
-        it_bcast = it_stats.Protocols.Hyper_views.broadcast_bits;
+        it_rounds = it_stats.Sketchmodel.Rounds.rounds;
+        it_bits = it_stats.Sketchmodel.Rounds.max_bits;
+        it_bcast = it_stats.Sketchmodel.Rounds.broadcast_bits;
         it_ok = matching_ok h it;
-        luby_rounds = mis_stats.Protocols.Hyper_views.rounds;
-        luby_bits = mis_stats.Protocols.Hyper_views.max_bits;
+        luby_rounds = mis_stats.Sketchmodel.Rounds.rounds;
+        luby_bits = mis_stats.Sketchmodel.Rounds.max_bits;
         luby_ok = mis_verdict.Dgraph.Hmis.independent && mis_verdict.Dgraph.Hmis.maximal;
       })
     ks

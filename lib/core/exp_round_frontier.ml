@@ -19,15 +19,15 @@ type row = {
   sqrt_n : float;
 }
 
-let row_of ~m ~g ~sqrt_n name (mis, (stats : Multipass.Rounds.stats)) =
+let row_of ~m ~g ~sqrt_n name (mis, (stats : Sketchmodel.Rounds.stats)) =
   {
     fm = m;
     protocol = name;
-    rounds_used = stats.Multipass.Rounds.rounds;
-    max_bits = stats.Multipass.Rounds.max_bits;
-    total_bits = stats.Multipass.Rounds.total_bits;
-    broadcast_bits = stats.Multipass.Rounds.broadcast_bits;
-    r1_max = stats.Multipass.Rounds.round_max.(0);
+    rounds_used = stats.Sketchmodel.Rounds.rounds;
+    max_bits = stats.Sketchmodel.Rounds.max_bits;
+    total_bits = stats.Sketchmodel.Rounds.total_bits;
+    broadcast_bits = stats.Sketchmodel.Rounds.broadcast_bits;
+    r1_max = stats.Sketchmodel.Rounds.round_max.(0);
     maximal = Dgraph.Mis.is_maximal g mis;
     sqrt_n;
   }

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader

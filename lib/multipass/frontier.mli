@@ -16,7 +16,8 @@
     paper's one-round lower bound lives in), r = 2 matches the √n-prefix
     shape of the two-round protocol, and larger r trades rounds for
     per-round communication. The [round-frontier] experiment tabulates
-    exactly this curve. *)
+    exactly this curve. Runs on {!Sketchmodel.Rounds}, the repo's one
+    multi-round engine. *)
 
 type state = {
   pi : int array;
@@ -32,7 +33,7 @@ val blocks : n:int -> rounds:int -> int array
 (** [blocks ~n ~rounds] is the r monotone prefix cutoffs
     s_t = ⌈n^(t/r)⌉ with the last forced to n. *)
 
-val protocol : rounds:int -> n:int -> (state, Dgraph.Mis.t) Rounds.protocol
+val protocol : rounds:int -> n:int -> (state, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
 (** The r-round protocol; [rounds >= 1]. The output lists MIS members in
     joining (permutation) order. *)
 
@@ -40,5 +41,5 @@ val run :
   ?rounds:int ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Mis.t * Rounds.stats
+  Dgraph.Mis.t * Sketchmodel.Rounds.stats
 (** Run on a graph (default [rounds = 2]). *)

@@ -20,7 +20,9 @@
       players cannot see neighbours' degrees, so a one-round degree
       exchange precedes the Luby rounds (uvarint up, degree vector down);
     - {!Index}: the fixed id order — deterministic, the worst case of the
-      family (a path decided one vertex per round). *)
+      family (a path decided one vertex per round).
+
+    Runs on {!Sketchmodel.Rounds}, the repo's one multi-round engine. *)
 
 type priority = Random | Degree | Index
 
@@ -40,7 +42,7 @@ type state = {
           broadcast; empty under {!Index} *)
 }
 
-val protocol : priority -> n:int -> (state, Dgraph.Mis.t) Rounds.protocol
+val protocol : priority -> n:int -> (state, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
 (** The r-round protocol; [n >= 0]. The output lists MIS members in
     ascending vertex order. *)
 
@@ -48,4 +50,4 @@ val run :
   priority ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Mis.t * Rounds.stats
+  Dgraph.Mis.t * Sketchmodel.Rounds.stats

@@ -1,4 +1,6 @@
 module Public_coins = Sketchmodel.Public_coins
+module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module H = Dgraph.Hypergraph
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -16,7 +18,7 @@ let beats coins ~label u v =
    protocol (not-max in every pair = min among neighbours). *)
 let local_minima =
   {
-    Hyper_views.name = "hyper-local-minima-mis";
+    Model.name = "hyper-local-minima-mis";
     player =
       (fun view coins ->
         let w = Writer.create () in
@@ -51,10 +53,14 @@ type state = { chosen : bool array; blocked : bool array }
    active set shrinks every round and termination (all vertices chosen
    or blocked = maximality) needs at most n rounds. *)
 let luby ~n =
-  let round_label round = Printf.sprintf "hmis-luby-r%d" round in
+  (* Coin labels number rounds from 0 ([hmis-luby-r0] is round 1's), so
+     the draws stay those the hypergraph-mm table and served responses
+     pin. *)
+  let round_label round = Printf.sprintf "hmis-luby-r%d" (round - 1) in
   {
-    Hyper_views.name = "hyper-luby-mis";
-    rounds_limit = (4 * (n + 2));
+    Rounds.name = "hyper-luby-mis";
+    max_rounds = 4 * (n + 2);
+    init = (fun ~n _coins -> { chosen = Array.make n false; blocked = Array.make n false });
     player =
       (fun ~round view state coins ->
         let w = Writer.create () in
@@ -83,7 +89,7 @@ let luby ~n =
           Writer.bit w blocked_now
         end;
         w);
-    step =
+    referee =
       (fun ~round:_ ~n ~state ~sketches _coins ->
         let chosen = Array.copy state.chosen and blocked = Array.copy state.blocked in
         Array.iteri
@@ -99,7 +105,8 @@ let luby ~n =
         for v = 0 to n - 1 do
           if not (chosen.(v) || blocked.(v)) then active := true
         done;
-        ({ chosen; blocked }, !active));
+        let state = { chosen; blocked } in
+        if !active then Rounds.Continue state else Rounds.Finish state);
     encode_broadcast =
       (fun state ->
         let w = Writer.create () in
@@ -108,12 +115,12 @@ let luby ~n =
         w);
   }
 
-let run_local_minima h coins = Hyper_views.run local_minima h coins
+let run_local_minima h coins =
+  Model.run_views local_minima ~n:(H.n h) (Hyper_views.views h) coins
 
 let run_luby h coins =
   let n = H.n h in
-  let init = { chosen = Array.make n false; blocked = Array.make n false } in
-  let state, stats = Hyper_views.run_multi (luby ~n) h ~init coins in
+  let state, stats = Hyper_views.iterate (luby ~n) h coins in
   let out = ref [] in
   for v = n - 1 downto 0 do
     if state.chosen.(v) then out := v :: !out

@@ -16,24 +16,27 @@
     minimum-priority active vertex always joins or blocks, so the
     protocol reaches a maximal independent set in at most [n] rounds. *)
 
-val local_minima : Dgraph.Hmis.t Hyper_views.protocol
+val local_minima : (Hyper_views.view, Dgraph.Hmis.t) Sketchmodel.Model.protocol_over
 (** One bit per player; output independent, rarely maximal. *)
 
 (** Broadcast state of {!luby}: chosen and blocked vertex bitmaps. *)
 type state = { chosen : bool array; blocked : bool array }
 
-val luby : n:int -> state Hyper_views.multi
-(** The Luby-style multi-round protocol for an [n]-vertex hypergraph. *)
+val luby : n:int -> (Hyper_views.view, state, state) Sketchmodel.Rounds.protocol_over
+(** The Luby-style multi-round protocol for an [n]-vertex hypergraph; its
+    output is the final state. *)
 
 val run_local_minima :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
   Dgraph.Hmis.t * Sketchmodel.Model.stats
-(** {!Hyper_views.run} of {!local_minima}. *)
+(** {!Sketchmodel.Model.run_views} of {!local_minima} on the honest
+    views. *)
 
 val run_luby :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Hmis.t * Hyper_views.multi_stats
-(** Run {!luby} to termination; returns a maximal independent set and
-    the multi-round bit accounting. *)
+  Dgraph.Hmis.t * Sketchmodel.Rounds.stats
+(** Run {!luby} to termination through {!Hyper_views.iterate};
+    returns a maximal independent set and the multi-round bit
+    accounting. *)

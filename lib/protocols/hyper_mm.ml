@@ -1,4 +1,6 @@
 module Public_coins = Sketchmodel.Public_coins
+module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module H = Dgraph.Hypergraph
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -32,7 +34,7 @@ let compare_pin_arrays (a : int array) b =
 
 let trivial =
   {
-    Hyper_views.name = "hyper-trivial-mm";
+    Model.name = "hyper-trivial-mm";
     player =
       (fun view _coins ->
         let w = Writer.create () in
@@ -61,8 +63,9 @@ type state = { covered : bool array; chosen : int array list }
    is a maximal matching. *)
 let iterated ~n =
   {
-    Hyper_views.name = "hyper-iterated-mm";
-    rounds_limit = n + 2;
+    Rounds.name = "hyper-iterated-mm";
+    max_rounds = n + 2;
+    init = (fun ~n _coins -> { covered = Array.make n false; chosen = [] });
     player =
       (fun ~round:_ view state coins ->
         let w = Writer.create () in
@@ -83,7 +86,7 @@ let iterated ~n =
           match !best with None -> () | Some (_, pins) -> write_edge w pins
         end;
         w);
-    step =
+    referee =
       (fun ~round:_ ~n:_ ~state ~sketches coins ->
         let proposals = ref [] in
         Array.iter
@@ -94,7 +97,7 @@ let iterated ~n =
             end)
           sketches;
         match !proposals with
-        | [] -> (state, false)
+        | [] -> Rounds.Finish state
         | ps ->
             let ps =
               List.sort
@@ -111,7 +114,7 @@ let iterated ~n =
                   chosen := pins :: !chosen
                 end)
               ps;
-            ({ covered; chosen = !chosen }, true));
+            Rounds.Continue { covered; chosen = !chosen });
     encode_broadcast =
       (fun state ->
         let w = Writer.create () in
@@ -119,9 +122,8 @@ let iterated ~n =
         w);
   }
 
-let run_trivial h coins = Hyper_views.run trivial h coins
+let run_trivial h coins = Model.run_views trivial ~n:(H.n h) (Hyper_views.views h) coins
 
 let run_iterated h coins =
-  let init = { covered = Array.make (H.n h) false; chosen = [] } in
-  let state, stats = Hyper_views.run_multi (iterated ~n:(H.n h)) h ~init coins in
+  let state, stats = Hyper_views.iterate (iterated ~n:(H.n h)) h coins in
   (List.rev state.chosen, stats)

@@ -17,7 +17,7 @@
     most [n/2 + 1] rounds (every non-final round commits at least one
     edge). *)
 
-val trivial : int array list Hyper_views.protocol
+val trivial : (Hyper_views.view, int array list) Sketchmodel.Model.protocol_over
 (** One round; output is the matching as a list of pin sets. *)
 
 (** Broadcast state of {!iterated}: players may only read [covered]
@@ -25,18 +25,20 @@ val trivial : int array list Hyper_views.protocol
     and is not part of the encoded broadcast. *)
 type state = { covered : bool array; chosen : int array list }
 
-val iterated : n:int -> state Hyper_views.multi
-(** The multi-round proposal protocol for an [n]-vertex hypergraph. *)
+val iterated : n:int -> (Hyper_views.view, state, state) Sketchmodel.Rounds.protocol_over
+(** The multi-round proposal protocol for an [n]-vertex hypergraph; its
+    output is the final state. *)
 
 val run_trivial :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
   int array list * Sketchmodel.Model.stats
-(** {!Hyper_views.run} of {!trivial}. *)
+(** {!Sketchmodel.Model.run_views} of {!trivial} on the honest views. *)
 
 val run_iterated :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  int array list * Hyper_views.multi_stats
-(** Run {!iterated} to termination; returns the maximal matching as pin
-    sets in commit order, plus the multi-round bit accounting. *)
+  int array list * Sketchmodel.Rounds.stats
+(** Run {!iterated} to termination through {!Hyper_views.iterate};
+    returns the maximal matching as pin sets in commit order, plus the
+    multi-round bit accounting. *)

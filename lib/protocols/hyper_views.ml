@@ -3,16 +3,11 @@
    One player per vertex; a player sees the vertex/edge counts, its own
    id, and the full pin set of every incident hyperedge — the hypergraph
    analogue of [Model.view]'s sorted neighbour list (for 2-uniform
-   hypergraphs the two views carry the same information). One-round
-   execution and bit accounting mirror [Model.run]; [run_multi] adds the
-   adaptive extension used by the iterated protocols: any number of
-   sketch rounds, each followed by one referee broadcast, with the
-   per-round boundary recorded as a [protocol.round] trace span. *)
+   hypergraphs the two views carry the same information). Protocols run
+   on the graph engines, [Model.run_views] and [Rounds.run_views]. *)
 
-module Public_coins = Sketchmodel.Public_coins
 module Hypergraph = Dgraph.Hypergraph
-module Writer = Stdx.Bitbuf.Writer
-module Reader = Stdx.Bitbuf.Reader
+module Rounds = Sketchmodel.Rounds
 
 type view = { n : int; m : int; vertex : int; edges : int array array }
 
@@ -26,75 +21,13 @@ let views h =
           Array.map (fun e -> Hypergraph.pins h e) (Hypergraph.incident h v);
       })
 
-type 'a protocol = {
-  name : string;
-  player : view -> Public_coins.t -> Writer.t;
-  referee : n:int -> sketches:Reader.t array -> Public_coins.t -> 'a;
-}
-
-let run protocol h coins =
-  let player_views = views h in
-  let writers = Array.map (fun view -> protocol.player view coins) player_views in
-  let sizes = Array.map Writer.length_bits writers in
-  let total_bits = Array.fold_left ( + ) 0 sizes in
-  let max_bits = Array.fold_left max 0 sizes in
-  let sketches = Array.map Reader.of_writer writers in
-  let output = protocol.referee ~n:(Hypergraph.n h) ~sketches coins in
-  let players = Array.length player_views in
-  ( output,
-    {
-      Sketchmodel.Model.max_bits;
-      total_bits;
-      avg_bits = (if players = 0 then 0. else float_of_int total_bits /. float_of_int players);
-      players;
-    } )
-
-type 'b multi = {
-  name : string;
-  rounds_limit : int;
-  player : round:int -> view -> 'b -> Public_coins.t -> Writer.t;
-  step : round:int -> n:int -> state:'b -> sketches:Reader.t array -> Public_coins.t -> 'b * bool;
-  encode_broadcast : 'b -> Writer.t;
-}
-
-type multi_stats = {
-  rounds : int;
-  max_bits : int;
-  total_bits : int;
-  broadcast_bits : int;
-}
-
-let run_multi protocol h ~init coins =
-  let player_views = views h in
-  let players = Array.length player_views in
-  let per_player = Array.make players 0 in
-  let total_broadcast = ref 0 in
-  let state = ref init and continue = ref true and round = ref 0 in
-  while !continue do
-    if !round >= protocol.rounds_limit then
-      failwith (protocol.name ^ ": round limit exceeded");
-    let r = !round in
-    Stdx.Trace.span
-      ~args:(fun () -> [ ("round", Stdx.Trace.Int r); ("protocol", Stdx.Trace.Str protocol.name) ])
-      "protocol.round"
-      (fun () ->
-        let writers =
-          Array.map (fun view -> protocol.player ~round:r view !state coins) player_views
-        in
-        Array.iteri (fun v w -> per_player.(v) <- per_player.(v) + Writer.length_bits w) writers;
-        let sketches = Array.map Reader.of_writer writers in
-        let next, go =
-          protocol.step ~round:r ~n:(Hypergraph.n h) ~state:!state ~sketches coins
-        in
-        total_broadcast := !total_broadcast + Writer.length_bits (protocol.encode_broadcast next);
-        state := next;
-        continue := go);
-    incr round
-  done;
-  ( !state,
-    {
-      rounds = !round;
-      max_bits = Array.fold_left max 0 per_player;
-      total_bits = Array.fold_left ( + ) 0 per_player;
-      broadcast_bits = !total_broadcast;
-    } )
+(* The iterated hypergraph protocols announce their final state to the
+   players as well, so unlike a graph protocol's [Finish] it is charged:
+   the hypergraph-mm table and the served hyper stats count one broadcast
+   per round, the last included. *)
+let iterate protocol h coins =
+  let final, stats = Rounds.run_views protocol ~n:(Hypergraph.n h) (views h) coins in
+  let last = Stdx.Bitbuf.Writer.length_bits (protocol.Rounds.encode_broadcast final) in
+  let round_broadcast = Array.copy stats.Rounds.round_broadcast in
+  round_broadcast.(stats.Rounds.rounds - 1) <- last;
+  (final, { stats with broadcast_bits = stats.Rounds.broadcast_bits + last; round_broadcast })

@@ -3,12 +3,11 @@
     One player per vertex, as in {!Sketchmodel.Model}; a player's whole
     input is the vertex/edge counts, its own id, and the full pin set of
     every incident hyperedge (for 2-uniform hypergraphs this is the
-    graph view). {!run} executes one simultaneous round with exact bit
-    accounting; {!run_multi} is the adaptive extension the iterated
-    hypergraph protocols use — any number of sketch rounds, each
-    followed by one referee broadcast, every round wrapped in a
-    [protocol.round] trace span (with [round] and [protocol] args) so
-    Perfetto shows the round boundaries. *)
+    graph view). The engines are the graph ones, run on these views: a
+    one-round protocol is a [(view, 'a) Sketchmodel.Model.protocol_over]
+    run by {!Sketchmodel.Model.run_views}, a multi-round one a
+    [(view, 'b, 'a) Sketchmodel.Rounds.protocol_over] run by
+    {!iterate}. *)
 
 type view = {
   n : int;  (** number of vertices *)
@@ -21,47 +20,14 @@ type view = {
 val views : Dgraph.Hypergraph.t -> view array
 (** The honest per-vertex views. *)
 
-type 'a protocol = {
-  name : string;
-  player : view -> Sketchmodel.Public_coins.t -> Stdx.Bitbuf.Writer.t;
-  referee :
-    n:int -> sketches:Stdx.Bitbuf.Reader.t array -> Sketchmodel.Public_coins.t -> 'a;
-}
-(** A one-round protocol; referee sees only sketches and coins. *)
-
-val run :
-  'a protocol -> Dgraph.Hypergraph.t -> Sketchmodel.Public_coins.t -> 'a * Sketchmodel.Model.stats
-(** One honest round; bit accounting as in {!Sketchmodel.Model.run}. *)
-
-type 'b multi = {
-  name : string;
-  rounds_limit : int;  (** fail-stop bound on rounds (convergence guard) *)
-  player : round:int -> view -> 'b -> Sketchmodel.Public_coins.t -> Stdx.Bitbuf.Writer.t;
-      (** The sketch of one vertex given the decoded broadcast state. *)
-  step :
-    round:int ->
-    n:int ->
-    state:'b ->
-    sketches:Stdx.Bitbuf.Reader.t array ->
-    Sketchmodel.Public_coins.t ->
-    'b * bool;
-      (** Referee transition: next broadcast state and whether to
-          continue. *)
-  encode_broadcast : 'b -> Stdx.Bitbuf.Writer.t;
-      (** How the broadcast would be serialised; only its length is
-          accounted. *)
-}
-(** A multi-round protocol: rounds of simultaneous sketches, each
-    followed by one broadcast of the referee state. *)
-
-type multi_stats = {
-  rounds : int;  (** rounds actually executed *)
-  max_bits : int;  (** worst-case per-player total across all rounds *)
-  total_bits : int;
-  broadcast_bits : int;  (** sum of all broadcast lengths *)
-}
-
-val run_multi :
-  'b multi -> Dgraph.Hypergraph.t -> init:'b -> Sketchmodel.Public_coins.t -> 'b * multi_stats
-(** Run until [step] stops (the final state is the output) or
-    [rounds_limit] is hit ([Failure]). *)
+val iterate :
+  (view, 'b, 'b) Sketchmodel.Rounds.protocol_over ->
+  Dgraph.Hypergraph.t ->
+  Sketchmodel.Public_coins.t ->
+  'b * Sketchmodel.Rounds.stats
+(** {!Sketchmodel.Rounds.run_views} on the honest views, for the
+    iterated hypergraph protocols, whose output is their final broadcast
+    state. That final state is broadcast too — every player learns the
+    finished matching or independent set — so its encoded size is
+    charged to the last round, where the engine's [Finish] charges
+    nothing. *)

@@ -87,11 +87,16 @@ let protocol ?(prefix_factor = 1.0) ~n () =
   let prefix_size = max 1 (int_of_float (ceil (prefix_factor *. sqrt (float_of_int n)))) in
   {
     Rounds.name = "two-round-prefix-mis";
-    round1 = (fun view coins -> round1 ~prefix_size view coins);
-    decide = (fun ~n ~sketches coins -> decide ~prefix_size ~n ~sketches coins);
+    max_rounds = 2;
+    init = (fun ~n _coins -> { decided = Array.make n false; i1 = [] });
+    player =
+      (fun ~round view b coins ->
+        if round = 1 then round1 ~prefix_size view coins else round2 view b coins);
+    referee =
+      (fun ~round ~n ~state ~sketches coins ->
+        if round = 1 then Rounds.Continue (decide ~prefix_size ~n ~sketches coins)
+        else Rounds.Finish (finish ~n ~broadcast:state ~sketches coins));
     encode_broadcast;
-    round2;
-    finish;
   }
 
 let run ?prefix_factor g coins = Rounds.run (protocol ?prefix_factor ~n:(Graph.n g) ()) g coins

@@ -16,6 +16,10 @@ type broadcast = { decided : bool array; i1 : Dgraph.Mis.t }
 
 val protocol :
   ?prefix_factor:float -> n:int -> unit -> (broadcast, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
+(** The prefix protocol on the r-round engine with [max_rounds = 2]
+    (round 1 sees the empty initial state: nothing decided).
+    [prefix_factor] scales the prefix size [⌈prefix_factor·√n⌉]
+    (default 1.0). *)
 
 val run :
   ?prefix_factor:float ->

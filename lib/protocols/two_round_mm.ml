@@ -72,11 +72,15 @@ let protocol ?(cap_factor = 1.0) ~n () =
   let cap = max 1 (int_of_float (ceil (cap_factor *. sqrt (float_of_int n)))) in
   {
     Rounds.name = "two-round-filtering-mm";
-    round1 = (fun view coins -> round1 ~cap view coins);
-    decide;
+    max_rounds = 2;
+    init = (fun ~n _coins -> { matched = Array.make n false; m1 = [] });
+    player =
+      (fun ~round view b coins -> if round = 1 then round1 ~cap view coins else round2 view b coins);
+    referee =
+      (fun ~round ~n ~state ~sketches coins ->
+        if round = 1 then Rounds.Continue (decide ~n ~sketches coins)
+        else Rounds.Finish (finish ~n ~broadcast:state ~sketches coins));
     encode_broadcast;
-    round2;
-    finish;
   }
 
 let run ?cap_factor g coins = Rounds.run (protocol ?cap_factor ~n:(Graph.n g) ()) g coins

@@ -13,7 +13,9 @@ type broadcast = { matched : bool array; m1 : Dgraph.Matching.t }
 
 val protocol :
   ?cap_factor:float -> n:int -> unit -> (broadcast, Dgraph.Matching.t) Sketchmodel.Rounds.protocol
-(** [cap_factor] scales the round-1 sample cap [⌈cap_factor·√n⌉]
+(** The filtering protocol on the r-round engine with [max_rounds = 2]
+    (round 1 sees the empty initial state: nothing matched).
+    [cap_factor] scales the round-1 sample cap [⌈cap_factor·√n⌉]
     (default 1.0). *)
 
 val run :

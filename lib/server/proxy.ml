@@ -181,19 +181,9 @@ let rec attempt t addr payload ~fresh_retry =
 let attempt t addr payload = attempt t addr payload ~fresh_retry:true
 
 (* ------------------------------------------------------------------ *)
-(* Canonical JSON response text (same discipline as [Service]).        *)
+(* Canonical JSON response text: the one renderer, [Service.Response]. *)
 
-let jstr s = "\"" ^ T.json_escape s ^ "\""
-
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
-
-let arr items = "[" ^ String.concat "," items ^ "]"
-let ok_response fields = obj (("ok", "true") :: fields)
-
-let error_response ~code ~error msg =
-  obj
-    [ ("ok", "false"); ("error", jstr error); ("code", string_of_int code); ("msg", jstr msg) ]
+open Service.Response
 
 let no_backend_response =
   error_response ~code:502 ~error:"no-backend" "no backend reachable; cluster is down"

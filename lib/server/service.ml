@@ -42,24 +42,28 @@ let metrics t = t.metrics
 (* ------------------------------------------------------------------ *)
 (* Response building: canonical JSON text                              *)
 
-let jstr s = "\"" ^ T.json_escape s ^ "\""
+module Response = struct
+  let jstr s = "\"" ^ T.json_escape s ^ "\""
 
-(* Fields are pre-rendered JSON text; order is the order given. *)
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
+  (* Fields are pre-rendered JSON text; order is the order given. *)
+  let obj fields =
+    "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
 
-let arr items = "[" ^ String.concat "," items ^ "]"
-let ok_response fields = obj (("ok", "true") :: fields)
+  let arr items = "[" ^ String.concat "," items ^ "]"
+  let ok_response fields = obj (("ok", "true") :: fields)
 
-(* Machine-readable [error] tag, HTTP-flavoured [code], human [msg]. *)
-let error_response ~code ~error msg =
-  obj
-    [
-      ("ok", "false");
-      ("error", jstr error);
-      ("code", string_of_int code);
-      ("msg", jstr msg);
-    ]
+  (* Machine-readable [error] tag, HTTP-flavoured [code], human [msg]. *)
+  let error_response ~code ~error msg =
+    obj
+      [
+        ("ok", "false");
+        ("error", jstr error);
+        ("code", string_of_int code);
+        ("msg", jstr msg);
+      ]
+end
+
+open Response
 
 let bad_request msg = error_response ~code:400 ~error:"bad-request" msg
 let not_found msg = error_response ~code:404 ~error:"not-found" msg

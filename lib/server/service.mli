@@ -20,6 +20,27 @@
     state. The full request/response schema of every operation is specified
     in [PROTOCOL.md] at the repository root. *)
 
+(** Canonical JSON response text, shared by the daemon and the routing
+    proxy: object fields in the order given, no whitespace, so equal
+    responses are equal bytes. *)
+module Response : sig
+  val jstr : string -> string
+  (** A JSON string literal. *)
+
+  val obj : (string * string) list -> string
+  (** An object from pre-rendered field values, in the order given. *)
+
+  val arr : string list -> string
+  (** An array from pre-rendered items. *)
+
+  val ok_response : (string * string) list -> string
+  (** [{"ok":true,...}] followed by the given fields. *)
+
+  val error_response : code:int -> error:string -> string -> string
+  (** [{"ok":false,"error":error,"code":code,"msg":msg}]: a
+      machine-readable tag, an HTTP-flavoured code and a human message. *)
+end
+
 type t
 (** One service instance: scheduler + cache + metrics + registry. *)
 

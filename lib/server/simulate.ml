@@ -2,10 +2,12 @@
    graph and report its exact bit accounting.
 
    This is the served version of what the repo's experiments do in-process
-   — the same [Sketchmodel.Model.run] / [Sketchmodel.Rounds.run] with the
-   same generators and the same coins, so a response's [max_bits] and
-   [total_bits] are {e exactly} the numbers an in-process run of the same
-   (protocol, graph, seed) triple produces; [test_server] pins that.
+   — the same engines, [Sketchmodel.Model] for one round and
+   [Sketchmodel.Rounds] for every multi-round protocol (graph or
+   hypergraph views), with the same generators and the same coins, so a
+   response's [max_bits] and [total_bits] are {e exactly} the numbers an
+   in-process run of the same (protocol, graph, seed) triple produces;
+   [test_server] pins that.
 
    Derivations are fixed and documented in the mli: the graph generator is
    [Prng.split (Prng.create seed) 1], the coins are
@@ -146,31 +148,41 @@ let one_round_stats (s : Model.stats) =
       ("avg_bits", T.Jfloat s.Model.avg_bits);
     ]
 
+let jarr_of_ints a = T.Jarr (Array.to_list (Array.map (fun i -> T.Jint i) a))
+
+(* Every multi-round protocol runs on [Rounds]; the response keeps one
+   shape per family, each a projection of the same record. The hypergraph
+   protocols report the cumulative figures, the r-round wing adds the
+   per-round curves the round-frontier experiment plots, and the
+   two-round protocols report their two round maxima. *)
+let cumulative_fields (s : Rounds.stats) =
+  [
+    ("rounds", T.Jint s.Rounds.rounds);
+    ("max_bits", T.Jint s.Rounds.max_bits);
+    ("total_bits", T.Jint s.Rounds.total_bits);
+    ("broadcast_bits", T.Jint s.Rounds.broadcast_bits);
+  ]
+
+let hyper_rounds_stats s = T.Jobj (cumulative_fields s)
+
+let rounds_stats (s : Rounds.stats) =
+  T.Jobj
+    (cumulative_fields s
+    @ [
+        ("round_max", jarr_of_ints s.Rounds.round_max);
+        ("round_total", jarr_of_ints s.Rounds.round_total);
+        ("round_broadcast", jarr_of_ints s.Rounds.round_broadcast);
+      ])
+
 let two_round_stats (s : Rounds.stats) =
   T.Jobj
     [
-      ("rounds", T.Jint 2);
+      ("rounds", T.Jint s.Rounds.rounds);
       ("max_bits", T.Jint s.Rounds.max_bits);
-      ("round1_max", T.Jint s.Rounds.round1_max);
-      ("round2_max", T.Jint s.Rounds.round2_max);
+      ("round1_max", T.Jint s.Rounds.round_max.(0));
+      ("round2_max", T.Jint s.Rounds.round_max.(1));
       ("broadcast_bits", T.Jint s.Rounds.broadcast_bits);
       ("total_bits", T.Jint s.Rounds.total_bits);
-    ]
-
-let jarr_of_ints a = T.Jarr (Array.to_list (Array.map (fun i -> T.Jint i) a))
-
-(* The r-round engine's stats: the cumulative figures the fixed engines
-   report, plus the per-round curves the round-frontier experiment plots. *)
-let multipass_stats (s : Multipass.Rounds.stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint s.Multipass.Rounds.rounds);
-      ("max_bits", T.Jint s.Multipass.Rounds.max_bits);
-      ("total_bits", T.Jint s.Multipass.Rounds.total_bits);
-      ("broadcast_bits", T.Jint s.Multipass.Rounds.broadcast_bits);
-      ("round_max", jarr_of_ints s.Multipass.Rounds.round_max);
-      ("round_total", jarr_of_ints s.Multipass.Rounds.round_total);
-      ("round_broadcast", jarr_of_ints s.Multipass.Rounds.round_broadcast);
     ]
 
 (* Streaming passes are the cost axis, not rounds: report per-pass memory
@@ -186,15 +198,6 @@ let stream_stats (r : Multipass.Stream_matching.result) =
       ("pass_memory_bits", per (fun p -> p.Multipass.Stream_matching.memory_bits));
       ("pass_matching", per (fun p -> p.Multipass.Stream_matching.matching_size));
       ("pass_augmented", per (fun p -> p.Multipass.Stream_matching.augmented));
-    ]
-
-let multi_round_stats (s : Protocols.Hyper_views.multi_stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint s.Protocols.Hyper_views.rounds);
-      ("max_bits", T.Jint s.Protocols.Hyper_views.max_bits);
-      ("total_bits", T.Jint s.Protocols.Hyper_views.total_bits);
-      ("broadcast_bits", T.Jint s.Protocols.Hyper_views.broadcast_bits);
     ]
 
 (* A hypergraph matching arrives as pin sets (players cannot name frozen
@@ -257,7 +260,7 @@ let run spec =
     | "hyper-iterated-mm" ->
         let h = hypergraph_of_spec spec in
         let m, s = Protocols.Hyper_mm.run_iterated h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, multi_round_stats s)
+        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, hyper_rounds_stats s)
     | "hyper-local-minima-mis" ->
         let h = hypergraph_of_spec spec in
         let mis, s = Protocols.Hyper_mis.run_local_minima h coins in
@@ -265,11 +268,11 @@ let run spec =
     | "hyper-luby-mis" ->
         let h = hypergraph_of_spec spec in
         let mis, s = Protocols.Hyper_mis.run_luby h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, multi_round_stats s)
+        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, hyper_rounds_stats s)
     | "prefix-mis-r4" ->
         let g = graph_of_spec spec in
         let mis, s = Multipass.Frontier.run ~rounds:4 g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, multipass_stats s)
+        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, rounds_stats s)
     | ("luby-mis-random" | "luby-mis-degree" | "luby-mis-index") as name ->
         let kind =
           match name with
@@ -279,7 +282,7 @@ let run spec =
         in
         let g = graph_of_spec spec in
         let mis, s = Multipass.Luby.run kind g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, multipass_stats s)
+        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, rounds_stats s)
     | "stream-matching" ->
         let g = graph_of_spec spec in
         let stream = Streams.Stream.shuffled (stream_rng spec.seed) g in

@@ -4,10 +4,11 @@
     Determinism contract (what makes simulate responses cacheable and
     testable): for a [spec] with seed [s], the graph generator is
     [Stdx.Prng.split (Stdx.Prng.create s) 1] and the public coins are
-    [Sketchmodel.Public_coins.create s]. An in-process
-    [Sketchmodel.Model.run] (or [Rounds.run]) of the same protocol over
-    {!graph_of_spec} with {!coins} produces {e exactly} the [max_bits] /
-    [total_bits] the response reports. *)
+    [Sketchmodel.Public_coins.create s]. An in-process run of the same
+    protocol over {!graph_of_spec} (or {!hypergraph_of_spec}) with
+    {!coins} — [Sketchmodel.Model] for one round, [Sketchmodel.Rounds]
+    for more — produces {e exactly} the [max_bits] / [total_bits] the
+    response reports. *)
 
 module T = Report.Tabular
 

@@ -4,11 +4,13 @@ type view = { n : int; vertex : int; neighbors : int array }
 
 let views g = Array.init (Graph.n g) (fun v -> { n = Graph.n g; vertex = v; neighbors = Graph.neighbors g v })
 
-type 'a protocol = {
+type ('v, 'a) protocol_over = {
   name : string;
-  player : view -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
+  player : 'v -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
   referee : n:int -> sketches:Stdx.Bitbuf.Reader.t array -> Public_coins.t -> 'a;
 }
+
+type 'a protocol = (view, 'a) protocol_over
 
 type stats = { max_bits : int; total_bits : int; avg_bits : float; players : int }
 

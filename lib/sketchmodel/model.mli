@@ -17,14 +17,19 @@ type view = {
 val views : Dgraph.Graph.t -> view array
 (** The honest per-vertex views of a graph. *)
 
-type 'a protocol = {
+type ('v, 'a) protocol_over = {
   name : string;
-  player : view -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
-      (** The sketch of one vertex: a function of its view and the public
+  player : 'v -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
+      (** The sketch of one player: a function of its view and the public
           coins only. *)
   referee : n:int -> sketches:Stdx.Bitbuf.Reader.t array -> Public_coins.t -> 'a;
-      (** Output from the sketches and the coins; no access to the graph. *)
+      (** Output from the sketches and the coins; no access to the input. *)
 }
+(** A one-round protocol whose players see views of type ['v] (graph
+    views here, hypergraph pin-set views in [Protocols.Hyper_views]). *)
+
+type 'a protocol = (view, 'a) protocol_over
+(** A one-round protocol over graph views. *)
 
 type stats = {
   max_bits : int;  (** the paper's communication cost *)
@@ -38,10 +43,11 @@ val run : 'a protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * stats
     referee read-only sketches, and accounts bits. *)
 
 val run_views :
-  ?schedule:int array -> 'a protocol -> n:int -> view array -> Public_coins.t -> 'a * stats
+  ?schedule:int array -> ('v, 'a) protocol_over -> n:int -> 'v array -> Public_coins.t -> 'a * stats
 (** Same, but over explicit views — used by the public/unique augmented
     player model of Section 3.1, where the number of players exceeds [n]
-    and views are not the honest per-vertex ones.
+    and views are not the honest per-vertex ones, and by the hypergraph
+    protocols, whose players see pin sets.
 
     [schedule] (a permutation of the player indices; default identity)
     fixes the {e order} in which player sketches are computed. Players are

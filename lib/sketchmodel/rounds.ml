@@ -1,63 +1,86 @@
-type ('b, 'a) protocol = {
+(* The r-round referee engine. One iteration = one simultaneous sketch
+   round followed by one referee step; [Continue] charges the broadcast,
+   [Finish] ends the run. *)
+
+module Writer = Stdx.Bitbuf.Writer
+module Reader = Stdx.Bitbuf.Reader
+
+type ('b, 'a) step = Continue of 'b | Finish of 'a
+
+type ('v, 'b, 'a) protocol_over = {
   name : string;
-  round1 : Model.view -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
-  decide : n:int -> sketches:Stdx.Bitbuf.Reader.t array -> Public_coins.t -> 'b;
-  encode_broadcast : 'b -> Stdx.Bitbuf.Writer.t;
-  round2 : Model.view -> 'b -> Public_coins.t -> Stdx.Bitbuf.Writer.t;
-  finish :
-    n:int -> broadcast:'b -> sketches:Stdx.Bitbuf.Reader.t array -> Public_coins.t -> 'a;
+  max_rounds : int;
+  init : n:int -> Public_coins.t -> 'b;
+  player : round:int -> 'v -> 'b -> Public_coins.t -> Writer.t;
+  referee :
+    round:int -> n:int -> state:'b -> sketches:Reader.t array -> Public_coins.t -> ('b, 'a) step;
+  encode_broadcast : 'b -> Writer.t;
 }
+
+type ('b, 'a) protocol = (Model.view, 'b, 'a) protocol_over
 
 type stats = {
+  rounds : int;
   max_bits : int;
-  round1_max : int;
-  round2_max : int;
-  broadcast_bits : int;
   total_bits : int;
+  broadcast_bits : int;
+  round_max : int array;
+  round_total : int array;
+  round_broadcast : int array;
 }
 
-(* Each of the two rounds is wrapped in a [protocol.round] trace span
-   (same name the multi-round hypergraph runner emits), so a trace of a
-   two-round run shows the round boundary: everything up to and
-   including [decide] is round 1, the response sketches and [finish] are
-   round 2. *)
-let round_span protocol r body =
+let round_span name r body =
   Stdx.Trace.span
-    ~args:(fun () -> [ ("round", Stdx.Trace.Int r); ("protocol", Stdx.Trace.Str protocol.name) ])
+    ~args:(fun () -> [ ("round", Stdx.Trace.Int r); ("protocol", Stdx.Trace.Str name) ])
     "protocol.round" body
 
-let run protocol g coins =
-  let n = Dgraph.Graph.n g in
-  let player_views = Model.views g in
-  let sizes1, broadcast, broadcast_bits =
-    round_span protocol 1 (fun () ->
-        let writers1 = Array.map (fun view -> protocol.round1 view coins) player_views in
-        let sizes1 = Array.map Stdx.Bitbuf.Writer.length_bits writers1 in
-        let sketches1 = Array.map Stdx.Bitbuf.Reader.of_writer writers1 in
-        let broadcast = protocol.decide ~n ~sketches:sketches1 coins in
-        let broadcast_bits =
-          Stdx.Bitbuf.Writer.length_bits (protocol.encode_broadcast broadcast)
-        in
-        (sizes1, broadcast, broadcast_bits))
-  in
-  let sizes2, output =
-    round_span protocol 2 (fun () ->
-        let writers2 = Array.map (fun view -> protocol.round2 view broadcast coins) player_views in
-        let sizes2 = Array.map Stdx.Bitbuf.Writer.length_bits writers2 in
-        let sketches2 = Array.map Stdx.Bitbuf.Reader.of_writer writers2 in
-        (sizes2, protocol.finish ~n ~broadcast ~sketches:sketches2 coins))
-  in
-  let max2 a = Array.fold_left max 0 a in
-  let per_player = Array.init n (fun v -> sizes1.(v) + sizes2.(v)) in
+let run_views protocol ~n views coins =
+  let players = Array.length views in
+  let per_player = Array.make players 0 in
+  let round_max = ref [] and round_total = ref [] and round_broadcast = ref [] in
+  let state = ref (protocol.init ~n coins) in
+  let result = ref None in
+  let round = ref 1 in
+  while Option.is_none !result do
+    if !round > protocol.max_rounds then
+      failwith (protocol.name ^ ": round limit exceeded");
+    let r = !round in
+    round_span protocol.name r (fun () ->
+        let writers = Array.map (fun view -> protocol.player ~round:r view !state coins) views in
+        let sizes = Array.map Writer.length_bits writers in
+        Array.iteri (fun p bits -> per_player.(p) <- per_player.(p) + bits) sizes;
+        round_max := Array.fold_left max 0 sizes :: !round_max;
+        round_total := Array.fold_left ( + ) 0 sizes :: !round_total;
+        let sketches = Array.map Reader.of_writer writers in
+        match protocol.referee ~round:r ~n ~state:!state ~sketches coins with
+        | Continue b ->
+            round_broadcast := Writer.length_bits (protocol.encode_broadcast b) :: !round_broadcast;
+            state := b
+        | Finish a ->
+            round_broadcast := 0 :: !round_broadcast;
+            result := Some a);
+    incr round
+  done;
+  let output = match !result with Some a -> a | None -> assert false in
+  let round_max = Array.of_list (List.rev !round_max) in
+  let round_total = Array.of_list (List.rev !round_total) in
+  let round_broadcast = Array.of_list (List.rev !round_broadcast) in
   ( output,
     {
-      max_bits = max2 per_player;
-      round1_max = max2 sizes1;
-      round2_max = max2 sizes2;
-      broadcast_bits;
+      rounds = Array.length round_max;
+      max_bits = Array.fold_left max 0 per_player;
       total_bits = Array.fold_left ( + ) 0 per_player;
+      broadcast_bits = Array.fold_left ( + ) 0 round_broadcast;
+      round_max;
+      round_total;
+      round_broadcast;
     } )
 
+let run protocol g coins =
+  run_views protocol ~n:(Dgraph.Graph.n g) (Model.views g) coins
+
 let pp_stats ppf s =
-  Format.fprintf ppf "max=%d bits (r1=%d, r2=%d) broadcast=%d bits total=%d bits" s.max_bits
-    s.round1_max s.round2_max s.broadcast_bits s.total_bits
+  Format.fprintf ppf "rounds=%d max=%d bits total=%d bits broadcast=%d bits [per-round max:%s]"
+    s.rounds s.max_bits s.total_bits s.broadcast_bits
+    (String.concat ","
+       (Array.to_list (Array.map string_of_int s.round_max)))

@@ -1,10 +1,8 @@
-(* Tests for Multipass: the r-round referee engine (and its byte-identity
-   with the fixed one- and two-round engines), the frontier prefix MIS
-   family, the Luby priority variants, and multi-pass streaming matching. *)
+(* Tests for Multipass: the r-round referee engine's accounting, the
+   frontier prefix MIS family, the Luby priority variants, and multi-pass
+   streaming matching. *)
 
-module Model = Sketchmodel.Model
-module Rounds2 = Sketchmodel.Rounds
-module MP = Multipass.Rounds
+module MP = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
 module G = Dgraph.Graph
 module S = Streams.Stream
@@ -22,70 +20,6 @@ let graphs seed =
     Dgraph.Gen.complete 8;
     Dgraph.Gen.star 6;
   ]
-
-(* ---- Regression: r = 1 embedding is byte-identical to Model.run ---- *)
-
-let test_of_one_round_identity () =
-  List.iteri
-    (fun i g ->
-      let coins = PC.create (100 + i) in
-      let direct, ds = Model.run Protocols.Trivial.mis g coins in
-      let embedded, es = MP.run (MP.of_one_round Protocols.Trivial.mis) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Model.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Model.total_bits es.MP.total_bits;
-      checki "one round" 1 es.MP.rounds;
-      checki "no broadcast" 0 es.MP.broadcast_bits;
-      checki "round_max agrees" ds.Model.max_bits es.MP.round_max.(0);
-      checki "round_total agrees" ds.Model.total_bits es.MP.round_total.(0))
-    (graphs 11)
-
-let test_of_one_round_identity_mis_protocol () =
-  List.iteri
-    (fun i g ->
-      let coins = PC.create (200 + i) in
-      let p = Protocols.One_round_mis.local_minima in
-      let direct, ds = Model.run p g coins in
-      let embedded, es = MP.run (MP.of_one_round p) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Model.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Model.total_bits es.MP.total_bits)
-    (graphs 12)
-
-(* ---- Regression: r = 2 embedding is byte-identical to Rounds.run ---- *)
-
-let test_of_two_round_identity_mis () =
-  List.iteri
-    (fun i g ->
-      let n = G.n g in
-      let coins = PC.create (300 + i) in
-      let p = Protocols.Two_round_mis.protocol ~n () in
-      let direct, ds = Rounds2.run p g coins in
-      let embedded, es = MP.run (MP.of_two_round p) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Rounds2.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Rounds2.total_bits es.MP.total_bits;
-      checki "same broadcast_bits" ds.Rounds2.broadcast_bits es.MP.broadcast_bits;
-      checki "two rounds" 2 es.MP.rounds;
-      checki "round1_max agrees" ds.Rounds2.round1_max es.MP.round_max.(0);
-      checki "round2_max agrees" ds.Rounds2.round2_max es.MP.round_max.(1);
-      checki "broadcast after round 1" ds.Rounds2.broadcast_bits es.MP.round_broadcast.(0);
-      checki "no broadcast after finish" 0 es.MP.round_broadcast.(1))
-    (graphs 13)
-
-let test_of_two_round_identity_mm () =
-  List.iteri
-    (fun i g ->
-      let n = G.n g in
-      let coins = PC.create (400 + i) in
-      let p = Protocols.Two_round_mm.protocol ~n () in
-      let direct, ds = Rounds2.run p g coins in
-      let embedded, es = MP.run (MP.of_two_round p) g coins in
-      checkb "same matching" true (List.sort compare direct = List.sort compare embedded);
-      checki "same max_bits" ds.Rounds2.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Rounds2.total_bits es.MP.total_bits;
-      checki "same broadcast_bits" ds.Rounds2.broadcast_bits es.MP.broadcast_bits)
-    (graphs 14)
 
 (* ---- Engine accounting invariants ---- *)
 
@@ -206,7 +140,7 @@ let test_luby_draws_match_keyed_coins () =
   let coins = PC.create 44 in
   let p = Multipass.Luby.protocol Multipass.Luby.Random ~n in
   let st = p.MP.init ~n coins in
-  Array.iter (fun view -> ignore (p.MP.player ~round:1 view st coins)) (Model.views g);
+  Array.iter (fun view -> ignore (p.MP.player ~round:1 view st coins)) (Sketchmodel.Model.views g);
   let label = "mp-luby-random-r1" in
   checkb "label is round 1's" true (st.Multipass.Luby.label = label);
   checkb "some draws filled" true (Array.exists (fun d -> d >= 0) st.Multipass.Luby.draws);
@@ -368,11 +302,6 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "r=1 identity (trivial mis)" `Quick test_of_one_round_identity;
-          Alcotest.test_case "r=1 identity (local minima)" `Quick
-            test_of_one_round_identity_mis_protocol;
-          Alcotest.test_case "r=2 identity (two-round mis)" `Quick test_of_two_round_identity_mis;
-          Alcotest.test_case "r=2 identity (two-round mm)" `Quick test_of_two_round_identity_mm;
           Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
           Alcotest.test_case "max_rounds guard" `Quick test_max_rounds_guard;
         ] );

@@ -121,7 +121,7 @@ let test_two_round_round1_capped () =
   (* cap_factor 1.0: round-1 ships at most ceil(sqrt(100)) = 10 neighbour
      ids; each id is at most 2 varint bytes plus the list length prefix. *)
   let _, stats = Protocols.Two_round_mm.run g (PC.create 12) in
-  checkb "round1 bounded by cap" true (stats.Sketchmodel.Rounds.round1_max <= (11 * 16) + 16)
+  checkb "round1 bounded by cap" true (stats.Sketchmodel.Rounds.round_max.(0) <= (11 * 16) + 16)
 
 let test_two_round_cost_sublinear () =
   (* On dense graphs the two-round protocols beat the trivial one by a

@@ -1,5 +1,5 @@
 (* Tests for Sketchmodel: public coins, the one-round model and the
-   two-round extension, with exact bit accounting. *)
+   r-round engine at two rounds, with exact bit accounting. *)
 
 module PC = Sketchmodel.Public_coins
 module Model = Sketchmodel.Model
@@ -106,36 +106,37 @@ let test_success_rate_fresh_coins () =
          true));
   checki "10 distinct seeds" 10 (Hashtbl.length seen)
 
-(* Two-round protocol with predictable sizes: round1 sends 2 bits,
-   broadcast is 5 bits, round2 sends 3 bits for even vertices. *)
+(* Two-round protocol with predictable sizes: round 1 sends 2 bits,
+   broadcast is 5 bits, round 2 sends 3 bits for even vertices. *)
 let two_round_fixture =
   {
     Rounds.name = "fixture";
-    round1 =
-      (fun _ _ ->
+    max_rounds = 2;
+    init = (fun ~n:_ _ -> 0);
+    player =
+      (fun ~round view _ _ ->
         let w = W.create () in
-        W.bits w 3 ~width:2;
+        if round = 1 then W.bits w 3 ~width:2
+        else if view.Model.vertex mod 2 = 0 then W.bits w 7 ~width:3;
         w);
-    decide = (fun ~n ~sketches _ -> ignore sketches; n);
+    referee =
+      (fun ~round ~n ~state ~sketches _ ->
+        ignore sketches;
+        if round = 1 then Rounds.Continue n else Rounds.Finish (n + state));
     encode_broadcast =
       (fun b ->
         let w = W.create () in
         W.bits w (b land 31) ~width:5;
         w);
-    round2 =
-      (fun view _ _ ->
-        let w = W.create () in
-        if view.Model.vertex mod 2 = 0 then W.bits w 7 ~width:3;
-        w);
-    finish = (fun ~n ~broadcast ~sketches _ -> ignore sketches; n + broadcast);
   }
 
 let test_two_round_accounting () =
   let g = G.empty 5 in
   let out, stats = Rounds.run two_round_fixture g (PC.create 7) in
   checki "finish ran" 10 out;
-  checki "round1 max" 2 stats.Rounds.round1_max;
-  checki "round2 max" 3 stats.Rounds.round2_max;
+  checki "two rounds" 2 stats.Rounds.rounds;
+  checki "round1 max" 2 stats.Rounds.round_max.(0);
+  checki "round2 max" 3 stats.Rounds.round_max.(1);
   checki "per player max = 5" 5 stats.Rounds.max_bits;
   checki "broadcast" 5 stats.Rounds.broadcast_bits;
   (* totals: 5 players * 2 bits + 3 even vertices * 3 bits *)

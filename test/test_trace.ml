@@ -1,8 +1,9 @@
 (* Stdx.Trace + Report.Trace_export: span pairing across domains, the
    zero-allocation disabled fast path, exporter round-trips through
    Tabular's JSON parser, a golden snapshot of the trace_event schema,
-   and the inertness regression — golden table output is byte-identical
-   with tracing enabled. *)
+   the [protocol.round] spans of multi-round runs, and the inertness
+   regression — golden table output is byte-identical with tracing
+   enabled. *)
 
 module Tr = Stdx.Trace
 module E = Report.Trace_export
@@ -300,6 +301,51 @@ let test_phase_totals () =
     windowed
 
 (* --------------------------------------------------------------- *)
+(* Round spans: one per round, numbered from 1, on every engine run *)
+
+(* A served run of each multi-round family emits exactly [stats.rounds]
+   [protocol.round] spans, numbered 1..rounds in order, each carrying the
+   engine protocol's name. *)
+let test_protocol_round_spans () =
+  let gnp = Server.Simulate.Gnp { n = 40; p = 0.15 } in
+  let hyperk = Server.Simulate.Hyperk { n = 30; m = 20; k = 3 } in
+  List.iter
+    (fun (protocol, name, graph, seed) ->
+      fresh ();
+      Tr.enable ();
+      let body = Server.Simulate.run { Server.Simulate.protocol; graph; seed } in
+      Tr.disable ();
+      let rounds =
+        match Option.bind (List.assoc_opt "stats" body) (T.member "rounds") with
+        | Some (T.Jint r) -> r
+        | _ -> Alcotest.failf "%s: stats carry no round count" protocol
+      in
+      let spans = events_named "protocol.round" (Tr.dump ()) in
+      Tr.reset ();
+      Alcotest.(check int) (protocol ^ ": one span per round") rounds (List.length spans);
+      Alcotest.(check (list int))
+        (protocol ^ ": rounds numbered from 1")
+        (List.init rounds (fun r -> r + 1))
+        (List.map
+           (fun (e : Tr.event) ->
+             match List.assoc_opt "round" e.Tr.args with Some (Tr.Int r) -> r | _ -> -1)
+           spans);
+      List.iter
+        (fun (e : Tr.event) ->
+          Alcotest.(check bool)
+            (protocol ^ ": span names the protocol")
+            true
+            (List.assoc_opt "protocol" e.Tr.args = Some (Tr.Str name)))
+        spans)
+    [
+      ("two-round-mis", "two-round-prefix-mis", gnp, 11);
+      ("hyper-iterated-mm", "hyper-iterated-mm", hyperk, 5);
+      ("hyper-luby-mis", "hyper-luby-mis", hyperk, 5);
+      ("prefix-mis-r4", "frontier-prefix-mis-r4", gnp, 11);
+      ("luby-mis-random", "luby-mis-random", gnp, 11);
+    ]
+
+(* --------------------------------------------------------------- *)
 (* Inertness: tracing on does not change table bytes                *)
 
 let golden_with_tracing_on id overrides () =
@@ -343,6 +389,9 @@ let () =
           Alcotest.test_case "golden trace_event schema" `Quick test_golden_schema;
           Alcotest.test_case "phase_totals sums and windows" `Quick test_phase_totals;
         ] );
+      ( "rounds",
+        [ Alcotest.test_case "protocol.round spans numbered 1..rounds" `Quick
+            test_protocol_round_spans ] );
       ( "inertness",
         [
           Alcotest.test_case "claim31 golden unchanged with tracing on" `Quick
