@@ -42,8 +42,9 @@ trace-smoke: build
 
 # End-to-end smoke of the sketchproxy routing tier: 1 proxy + 2 backends,
 # simulate through the proxy, kill -9 the serving backend, failover must
-# be byte-identical and the cluster RPC must report the death. See
-# scripts/cluster_smoke.sh.
+# be byte-identical and the cluster RPC must report the death; then
+# `bench cluster` writes BENCH_cluster.json (1000 samples per mix), as CI
+# runs it. See scripts/cluster_smoke.sh.
 cluster-smoke: build
 	bash scripts/cluster_smoke.sh
 

@@ -2,14 +2,16 @@
    paper's quantitative statements) and then times the computational kernel
    behind each one with Bechamel.
 
-   Usage: dune exec bench/main.exe            (tables + micro-benches + serve)
+   Usage: dune exec bench/main.exe            (every mode below, in order)
           dune exec bench/main.exe -- tables  (tables only)
           dune exec bench/main.exe -- bench   (micro-benches only)
           dune exec bench/main.exe -- serve   (sketchd end-to-end latency)
+          dune exec bench/main.exe -- cluster (latency through sketchproxy)
           dune exec bench/main.exe -- streams (multipass per-round/per-pass accounting)
 
    The tables pass also writes BENCH_tables.json (JSON-lines: one object
-   per table with id, wall-clock and rows); `--fast` shrinks sizes. *)
+   per table with id, wall-clock and rows); `--fast` shrinks the table
+   and streams sizes. *)
 
 open Bechamel
 open Toolkit
@@ -193,136 +195,148 @@ let micro_tests () =
             Array.sort compare a));
   ]
 
-(* `serve`: end-to-end latency of the sketchd stack over loopback TCP —
-   an in-process daemon, one persistent client connection, and four
-   request mixes: ping (transport floor), uncached runs (distinct seeds,
-   every request computes), cached runs (one seed repeated, every request
-   after the first is an LRU hit) and cached simulates. Percentiles per
-   mix plus throughput, and a BENCH_serve.json line per mix. *)
-let serve_bench ?(fast = false) ?(connections = 0) () =
+(* Requests per latency mix: enough that p99 is a real percentile (the
+   tenth-largest sample), not the maximum of a few dozen. *)
+let samples_per_mix = 1000
+
+let jobj fields = T.string_of_json (T.Jobj fields)
+let ping = jobj [ ("op", T.Jstr "ping") ]
+
+(* The latency harness shared by `serve` and `cluster`: four request
+   mixes over one persistent loopback connection [c] — ping (transport
+   floor), uncached runs (distinct seeds, every request computes), cached
+   runs (one seed repeated, every request after the warm-up is an LRU
+   hit) and cached simulates. Prints percentiles and throughput per mix
+   and writes one JSON line per mix to [oc]. *)
+let latency_mixes c oc =
+  let time_one payload =
+    let response, s = Stdx.Parallel.timed (fun () -> Server.Client.request c payload) in
+    (match T.member "ok" (T.json_of_string response) with
+    | Some (T.Jbool true) -> ()
+    | _ -> failwith ("bench: request failed: " ^ response));
+    s *. 1000.
+  in
+  let mix name payload =
+    let samples = Array.init samples_per_mix (fun i -> time_one (payload i)) in
+    let q p = Stdx.Stats.quantile samples p in
+    let total_s = Array.fold_left ( +. ) 0. samples /. 1000. in
+    let rps = float_of_int samples_per_mix /. total_s in
+    Printf.printf
+      "%-18s n=%-4d p50=%8.3f ms  p90=%8.3f ms  p95=%8.3f ms  p99=%8.3f ms  %8.0f req/s\n%!"
+      name samples_per_mix (q 0.5) (q 0.9) (q 0.95) (q 0.99) rps;
+    Printf.fprintf oc
+      "{\"mix\":%S,\"n\":%d,\"p50_ms\":%s,\"p90_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
+      name samples_per_mix (T.float_repr (q 0.5)) (T.float_repr (q 0.9))
+      (T.float_repr (q 0.95)) (T.float_repr (q 0.99)) (T.float_repr rps)
+  in
+  let run_payload seed =
+    jobj
+      [
+        ("op", T.Jstr "run");
+        ("id", T.Jstr "claim31");
+        ("smoke", T.Jbool true);
+        ("seed", T.Jint seed);
+      ]
+  in
+  let simulate_payload =
+    jobj
+      [
+        ("op", T.Jstr "simulate");
+        ("protocol", T.Jstr "two-round-mm");
+        ("graph", T.Jobj [ ("kind", T.Jstr "gnp"); ("n", T.Jint 64); ("p", T.Jfloat 0.1) ]);
+        ("seed", T.Jint 7);
+      ]
+  in
+  mix "ping" (fun _ -> ping);
+  (* Distinct seeds: every request misses the cache and computes
+     (behind the proxy, the ring spreads the seeds over the shards). *)
+  mix "run-uncached" (fun i -> run_payload (1000 + i));
+  (* One seed repeated: after the warm-up miss, every request hits
+     (behind the proxy, on the one backend that owns the key). *)
+  ignore (time_one (run_payload 1));
+  mix "run-cached" (fun _ -> run_payload 1);
+  ignore (time_one simulate_payload);
+  mix "simulate-cached" (fun _ -> simulate_payload)
+
+(* The daemon-only step after the mixes: conn-limit shedding and herd
+   liveness. The daemon's cap is herd + 1, so with the herd and the
+   mixes' connection [c] still open, every further connect must be
+   answered with one 503 conn-limit frame and closed. *)
+let herd_probe ~port ~herd c oc =
+  let connections = Array.length herd in
+  (* Raw sockets here — the frame arrives unprompted at accept time. *)
+  let shed = ref 0 in
+  for _ = 1 to 8 do
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    (try
+       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+       match T.member "error" (T.json_of_string (Server.Wire.read_frame fd)) with
+       | Some (T.Jstr "conn-limit") -> incr shed
+       | _ -> ()
+     with _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  done;
+  (* A sample of the herd must still answer after the mixes: idle
+     connections survive back-pressure and the shed probe. *)
+  let step = max 1 (connections / 16) in
+  let alive = ref 0 and sampled = ref 0 in
+  let i = ref 0 in
+  while !i < connections do
+    incr sampled;
+    (match T.member "ok" (T.json_of_string (Server.Client.request herd.(!i) ping)) with
+    | Some (T.Jbool true) -> incr alive
+    | _ -> ()
+    | exception _ -> ());
+    i := !i + step
+  done;
+  let conns =
+    match
+      T.member "connections"
+        (T.json_of_string (Server.Client.request c (jobj [ ("op", T.Jstr "stats") ])))
+    with
+    | Some (T.Jobj fields) -> fields
+    | _ -> []
+  in
+  let conn_field name = match List.assoc_opt name conns with Some (T.Jint n) -> n | _ -> -1 in
+  let open_now = conn_field "open" in
+  let accepted = conn_field "accepted" in
+  let rejected = conn_field "rejected" in
+  Printf.printf
+    "%-18s target=%d open=%d accepted=%d shed=%d (saw %d/8 conn-limit frames) \
+     herd-alive=%d/%d\n\
+     %!"
+    "connections" connections open_now accepted rejected !shed !alive !sampled;
+  Printf.fprintf oc
+    "{\"mix\":\"connections\",\"target\":%d,\"open\":%d,\"accepted\":%d,\"shed\":%d,\"shed_frames_seen\":%d,\"herd_sampled\":%d,\"herd_alive\":%d}\n"
+    connections open_now accepted rejected !shed !sampled !alive
+
+(* `serve`: end-to-end latency of one in-process sketchd over loopback
+   TCP → BENCH_serve.json. With [connections] > 0 an idle herd of that
+   many open-but-quiet clients is held for the whole bench: the event
+   engine must carry every one (no FD_SETSIZE cliff, no per-connection
+   thread) while the active connection runs the mixes, and the herd
+   probe runs after them. *)
+let serve_latency ~connections () =
   print_endline "=== sketchd end-to-end latency (loopback TCP, persistent connection) ===";
-  (* With an idle herd the cap is exactly herd + the one active
-     connection, so the shed probe below must see 503 conn-limit frames. *)
   let max_conns = if connections > 0 then connections + 1 else 8192 in
   let d = Server.Daemon.start ~workers:2 ~capacity:32 ~max_conns () in
   let port = Server.Daemon.port d in
-  let iters = if fast then 25 else 200 in
   let oc = open_out "BENCH_serve.json" in
-  (* Idle herd: [connections] open-but-quiet clients held for the whole
-     bench. The event engine must carry every one (no FD_SETSIZE cliff,
-     no per-connection thread) while the active connection runs the
-     mixes at full speed. *)
   let herd = Array.init connections (fun _ -> Server.Client.connect ~port ()) in
   Server.Client.with_connection ~port (fun c ->
-      let time_one payload =
-        let response, s = Stdx.Parallel.timed (fun () -> Server.Client.request c payload) in
-        (match T.member "ok" (T.json_of_string response) with
-        | Some (T.Jbool true) -> ()
-        | _ -> failwith ("serve bench: request failed: " ^ response));
-        s *. 1000.
-      in
-      let mix name payloads =
-        let samples = Array.of_list (List.map time_one payloads) in
-        let q p = Stdx.Stats.quantile samples p in
-        let total_s = Array.fold_left ( +. ) 0. samples /. 1000. in
-        let rps = float_of_int (Array.length samples) /. total_s in
-        Printf.printf "%-18s n=%-4d p50=%8.3f ms  p90=%8.3f ms  p99=%8.3f ms  %8.0f req/s\n%!"
-          name (Array.length samples) (q 0.5) (q 0.9) (q 0.99) rps;
-        Printf.fprintf oc
-          "{\"mix\":%S,\"n\":%d,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
-          name (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.9))
-          (T.float_repr (q 0.99)) (T.float_repr rps)
-      in
-      let jobj fields = T.string_of_json (T.Jobj fields) in
-      let run_payload seed =
-        jobj
-          [
-            ("op", T.Jstr "run");
-            ("id", T.Jstr "claim31");
-            ("smoke", T.Jbool true);
-            ("seed", T.Jint seed);
-          ]
-      in
-      let simulate_payload =
-        jobj
-          [
-            ("op", T.Jstr "simulate");
-            ("protocol", T.Jstr "two-round-mm");
-            ("graph", T.Jobj [ ("kind", T.Jstr "gnp"); ("n", T.Jint 64); ("p", T.Jfloat 0.1) ]);
-            ("seed", T.Jint 7);
-          ]
-      in
-      mix "ping" (List.init iters (fun _ -> jobj [ ("op", T.Jstr "ping") ]));
-      (* Distinct seeds: every request misses the cache and computes. *)
-      mix "run-uncached" (List.init iters (fun i -> run_payload (1000 + i)));
-      (* One seed repeated: after the warm-up miss, every request hits. *)
-      ignore (time_one (run_payload 1));
-      mix "run-cached" (List.init iters (fun _ -> run_payload 1));
-      ignore (time_one simulate_payload);
-      mix "simulate-cached" (List.init iters (fun _ -> simulate_payload));
-      if connections > 0 then begin
-        (* Conn-limit shedding: each connect beyond the cap must be
-           answered with one 503 conn-limit frame, then closed. Raw
-           sockets here — the frame arrives unprompted at accept time. *)
-        let shed = ref 0 in
-        for _ = 1 to 8 do
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try
-             Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-             match T.member "error" (T.json_of_string (Server.Wire.read_frame fd)) with
-             | Some (T.Jstr "conn-limit") -> incr shed
-             | _ -> ()
-           with _ -> ());
-          try Unix.close fd with Unix.Unix_error _ -> ()
-        done;
-        (* A sample of the herd must still answer after the mixes: idle
-           connections survive back-pressure and the shed probe. *)
-        let ping = jobj [ ("op", T.Jstr "ping") ] in
-        let step = max 1 (connections / 16) in
-        let alive = ref 0 and sampled = ref 0 in
-        let i = ref 0 in
-        while !i < connections do
-          incr sampled;
-          (match T.member "ok" (T.json_of_string (Server.Client.request herd.(!i) ping)) with
-          | Some (T.Jbool true) -> incr alive
-          | _ -> ()
-          | exception _ -> ());
-          i := !i + step
-        done;
-        let conn_field name =
-          match
-            T.member "connections"
-              (T.json_of_string (Server.Client.request c (jobj [ ("op", T.Jstr "stats") ])))
-          with
-          | Some (T.Jobj fields) -> (
-              match List.assoc_opt name fields with Some (T.Jint n) -> n | _ -> -1)
-          | _ -> -1
-        in
-        let open_now = conn_field "open" in
-        let accepted = conn_field "accepted" in
-        let rejected = conn_field "rejected" in
-        Printf.printf
-          "%-18s target=%d open=%d accepted=%d shed=%d (saw %d/8 conn-limit frames) \
-           herd-alive=%d/%d\n\
-           %!"
-          "connections" connections open_now accepted rejected !shed !alive !sampled;
-        Printf.fprintf oc
-          "{\"mix\":\"connections\",\"target\":%d,\"open\":%d,\"accepted\":%d,\"shed\":%d,\"shed_frames_seen\":%d,\"herd_sampled\":%d,\"herd_alive\":%d}\n"
-          connections open_now accepted rejected !shed !sampled !alive
-      end);
+      latency_mixes c oc;
+      if connections > 0 then herd_probe ~port ~herd c oc);
   Array.iter Server.Client.close herd;
   Server.Daemon.stop d;
   Server.Daemon.wait d;
   close_out oc;
   print_endline "bench: wrote BENCH_serve.json"
 
-(* End-to-end latency through the routing tier: one sketchproxy in front
-   of four in-process sketchd backends, all on loopback TCP, so every
-   request pays client -> proxy -> backend framing twice. Same mixes as
-   the single-daemon bench; tail percentiles (p50/p95/p99) land in
-   BENCH_cluster.json, one line per mix. *)
-let cluster_bench ?(fast = false) () =
+(* `cluster`: the same mixes through the routing tier — one sketchproxy
+   in front of four in-process sketchd backends, so every request pays
+   client -> proxy -> backend framing twice → BENCH_cluster.json. *)
+let cluster_latency () =
   print_endline "=== 1-proxy/4-backend cluster latency (loopback TCP, persistent connection) ===";
   let backends = List.init 4 (fun _ -> Server.Daemon.start ~workers:1 ~capacity:32 ()) in
   let addrs =
@@ -331,58 +345,8 @@ let cluster_bench ?(fast = false) () =
   (* A long health interval keeps the background pinger out of the
      latency samples; every request here probes health on its own. *)
   let proxy = Server.Proxy.start ~health_interval_s:60. ~backends:addrs () in
-  let port = Server.Proxy.port proxy in
-  let iters = if fast then 25 else 200 in
   let oc = open_out "BENCH_cluster.json" in
-  Server.Client.with_connection ~port (fun c ->
-      let time_one payload =
-        let response, s = Stdx.Parallel.timed (fun () -> Server.Client.request c payload) in
-        (match T.member "ok" (T.json_of_string response) with
-        | Some (T.Jbool true) -> ()
-        | _ -> failwith ("cluster bench: request failed: " ^ response));
-        s *. 1000.
-      in
-      let mix name payloads =
-        let samples = Array.of_list (List.map time_one payloads) in
-        let q p = Stdx.Stats.quantile samples p in
-        let total_s = Array.fold_left ( +. ) 0. samples /. 1000. in
-        let rps = float_of_int (Array.length samples) /. total_s in
-        Printf.printf "%-18s n=%-4d p50=%8.3f ms  p95=%8.3f ms  p99=%8.3f ms  %8.0f req/s\n%!"
-          name (Array.length samples) (q 0.5) (q 0.95) (q 0.99) rps;
-        Printf.fprintf oc
-          "{\"mix\":%S,\"n\":%d,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
-          name (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.95))
-          (T.float_repr (q 0.99)) (T.float_repr rps)
-      in
-      let jobj fields = T.string_of_json (T.Jobj fields) in
-      let run_payload seed =
-        jobj
-          [
-            ("op", T.Jstr "run");
-            ("id", T.Jstr "claim31");
-            ("smoke", T.Jbool true);
-            ("seed", T.Jint seed);
-          ]
-      in
-      let simulate_payload =
-        jobj
-          [
-            ("op", T.Jstr "simulate");
-            ("protocol", T.Jstr "two-round-mm");
-            ("graph", T.Jobj [ ("kind", T.Jstr "gnp"); ("n", T.Jint 64); ("p", T.Jfloat 0.1) ]);
-            ("seed", T.Jint 7);
-          ]
-      in
-      mix "ping" (List.init iters (fun _ -> jobj [ ("op", T.Jstr "ping") ]));
-      (* Distinct seeds: every request misses its backend's cache and
-         computes; the ring spreads the seeds across all four shards. *)
-      mix "run-uncached" (List.init iters (fun i -> run_payload (1000 + i)));
-      (* One seed repeated: it routes to one backend whose cache serves
-         every request after the warm-up miss. *)
-      ignore (time_one (run_payload 1));
-      mix "run-cached" (List.init iters (fun _ -> run_payload 1));
-      ignore (time_one simulate_payload);
-      mix "simulate-cached" (List.init iters (fun _ -> simulate_payload)));
+  Server.Client.with_connection ~port:(Server.Proxy.port proxy) (fun c -> latency_mixes c oc);
   Server.Proxy.stop proxy;
   Server.Proxy.wait proxy;
   List.iter
@@ -506,40 +470,43 @@ let int_arg flag v =
   | Some n -> n
   | None -> usage_error (Printf.sprintf "%s expects an integer, got %S" flag v)
 
+let nonneg_arg flag v =
+  let n = int_arg flag v in
+  if n < 0 then usage_error (Printf.sprintf "%s expects a non-negative integer, got %d" flag n);
+  n
+
 let () =
   (* [-j] shards the Monte-Carlo tables over N domains; the printed tables
      are identical at any N. [--trace] writes the whole run's span trace as
      a Perfetto-loadable Chrome trace_event file. An unknown argument or a
      malformed number prints the usage line and exits 2. *)
   let args = Array.to_list Sys.argv in
-  let rec parse mode jobs fast trace conns = function
-    | [] -> (mode, jobs, fast, trace, conns)
+  let rec parse mode jobs fast trace connections = function
+    | [] -> (mode, jobs, fast, trace, connections)
     | (("-j" | "--jobs") as f) :: v :: rest ->
-        parse mode (Some (int_arg f v)) fast trace conns rest
-    | "--fast" :: rest -> parse mode jobs true trace conns rest
-    | "--trace" :: v :: rest -> parse mode jobs fast (Some v) conns rest
-    | ("--connections" as f) :: v :: rest ->
-        parse mode jobs fast trace (Some (int_arg f v)) rest
+        parse mode (Some (int_arg f v)) fast trace connections rest
+    | "--fast" :: rest -> parse mode jobs true trace connections rest
+    | "--trace" :: v :: rest -> parse mode jobs fast (Some v) connections rest
+    | ("--connections" as f) :: v :: rest -> parse mode jobs fast trace (nonneg_arg f v) rest
     | ("tables" | "bench" | "serve" | "cluster" | "streams" | "all") as m :: rest ->
-        parse m jobs fast trace conns rest
+        parse m jobs fast trace connections rest
     | [ ("-j" | "--jobs" | "--trace" | "--connections") as f ] ->
         usage_error (f ^ " expects a value")
     | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
-  let mode, jobs, fast, trace, conns = parse "all" None false None None (List.tl args) in
+  let mode, jobs, fast, trace, connections = parse "all" None false None 0 (List.tl args) in
   let jobs = match jobs with Some j when j > 0 -> Some j | Some _ | None -> None in
-  let connections = match conns with Some n when n > 0 -> n | Some _ | None -> 0 in
   Report.Trace_export.with_file trace (fun () ->
       match mode with
       | "tables" -> tables ~fast ?jobs ()
       | "bench" -> run_benchmarks ()
-      | "serve" -> serve_bench ~fast ~connections ()
-      | "cluster" -> cluster_bench ~fast ()
+      | "serve" -> serve_latency ~connections ()
+      | "cluster" -> cluster_latency ()
       | "streams" -> streams_bench ~fast ()
       | _ ->
           tables ~fast ?jobs ();
           run_benchmarks ();
-          serve_bench ~fast ~connections ();
-          cluster_bench ~fast ();
+          serve_latency ~connections ();
+          cluster_latency ();
           streams_bench ~fast ());
   print_endline "\nbench: done"

@@ -11,8 +11,7 @@ let universe params = params.universe
    caller-owned [int array]. Sparse_recovery and L0_sampler pack their
    reps x buckets (x levels) cells into single flat buffers and drive
    them through the [_at] operations below — no per-cell boxes on the
-   hot paths. The record [t] further down is a 3-word view kept for the
-   boxed public API. *)
+   hot paths. *)
 let words = 3
 
 (* [m] is threaded as an argument: a local recursive helper capturing it
@@ -27,7 +26,7 @@ let rec powmod_loop base exp m acc =
 let powmod base exp m = powmod_loop (base mod m) exp m 1
 
 let update_at params buf off i w =
-  if i < 0 || i >= params.universe then invalid_arg "One_sparse.update: index";
+  if i < 0 || i >= params.universe then invalid_arg "One_sparse.update_at: index";
   let p = params.p in
   buf.(off) <- buf.(off) + w;
   buf.(off + 1) <- buf.(off + 1) + (i * w);
@@ -73,43 +72,3 @@ let read_at params buf off r =
   buf.(off) <- unzigzag (Stdx.Bitbuf.Reader.uvarint r);
   buf.(off + 1) <- unzigzag (Stdx.Bitbuf.Reader.uvarint r);
   buf.(off + 2) <- Stdx.Bitbuf.Reader.bits r ~width:(field_width params)
-
-(* ------------------------------------------------------------------ *)
-(* Boxed single-cell view                                              *)
-
-type t = { params : params; buf : int array; off : int }
-
-let create params = { params; buf = Array.make words 0; off = 0 }
-
-let copy cell = { params = cell.params; buf = Array.sub cell.buf cell.off words; off = 0 }
-
-let zero_like cell = create cell.params
-
-let update cell i w = update_at cell.params cell.buf cell.off i w
-
-let combine a b =
-  if a.params <> b.params then invalid_arg "One_sparse.combine: params mismatch";
-  let c = copy a in
-  add_at a.params ~dst:c.buf c.off ~src:b.buf b.off;
-  c
-
-let scale cell c =
-  let p = cell.params.p in
-  let cp = ((c mod p) + p) mod p in
-  let buf =
-    [|
-      cell.buf.(cell.off) * c;
-      cell.buf.(cell.off + 1) * c;
-      cell.buf.(cell.off + 2) * cp mod p;
-    |]
-  in
-  { params = cell.params; buf; off = 0 }
-
-let decode cell = decode_at cell.params cell.buf cell.off
-
-let write cell w = write_at cell.params cell.buf cell.off w
-
-let read params r =
-  let cell = create params in
-  read_at params cell.buf cell.off r;
-  cell

@@ -13,8 +13,8 @@
     polynomial), so false singletons are rare and detected as
     {!result.Collision} otherwise.
 
-    All operations are linear: {!combine} of two cells built from the same
-    {!params} is the cell of the summed vectors — the property AGM's
+    All operations are linear: {!add_at} of two cells built from the same
+    {!params} gives the cell of the summed vectors — the property AGM's
     referee exploits when it merges the sketches of a component.
 
     {2 Flat representation}
@@ -23,10 +23,8 @@
     caller-owned [int array]. The [_at] operations act on such a region
     at a given offset; {!Sparse_recovery} and {!L0_sampler} pack all
     their cells into single flat buffers (typically borrowed from a
-    {!Stdx.Scratch} arena) and never box individual cells on hot paths.
-    The abstract {!t} below is a one-cell view kept for the boxed public
-    API; both act on identical bit patterns, so the two layers are
-    interchangeable bit-for-bit. *)
+    {!Stdx.Scratch} arena) and never box individual cells. A standalone
+    cell is just an [Array.make words 0] buffer at offset [0]. *)
 
 type params
 (** Public randomness of a cell: the prime [p], evaluation point [z] and
@@ -47,9 +45,10 @@ val update_at : params -> int array -> int -> int -> int -> unit
 
 val add_at : params -> dst:int array -> int -> src:int array -> int -> unit
 (** [add_at params ~dst doff ~src soff] adds the cell at
-    [src.(soff ..)] into the cell at [dst.(doff ..)] in place — the
-    in-place {!combine}, used by arena-backed accumulators. The two
-    regions must not overlap unless they coincide exactly. *)
+    [src.(soff ..)] into the cell at [dst.(doff ..)] in place: the cell
+    of the pointwise sum, used by arena-backed accumulators. Both cells
+    must come from the same [params], and the two regions must not
+    overlap unless they coincide exactly. *)
 
 type result =
   | Zero  (** the zero vector (up to fingerprint error) *)
@@ -61,34 +60,8 @@ val decode_at : params -> int array -> int -> result
 
 val write_at : params -> int array -> int -> Stdx.Bitbuf.Writer.t -> unit
 (** Serialise the cell at [off] (zigzag varints for [s0], [s1]; the
-    fingerprint at the field width of [p]) — exact bit accounting,
-    byte-identical to {!write} of the equivalent boxed cell. *)
+    fingerprint at the field width of [p]) — exact bit accounting. *)
 
 val read_at : params -> int array -> int -> Stdx.Bitbuf.Reader.t -> unit
 (** Deserialise one cell into [buf.(off .. off+words-1)], overwriting
     the three slots. *)
-
-type t
-(** A boxed one-cell view: [params] plus a private 3-int buffer. *)
-
-val create : params -> t
-val copy : t -> t
-
-val zero_like : t -> t
-(** A fresh zero cell with the same parameters. *)
-
-val update : t -> int -> int -> unit
-(** [update cell i w] adds [w] to coordinate [i]. *)
-
-val combine : t -> t -> t
-(** Cell of the pointwise sum; both arguments must share [params]. *)
-
-val scale : t -> int -> t
-(** Cell of the scaled vector. *)
-
-val decode : t -> result
-
-val write : t -> Stdx.Bitbuf.Writer.t -> unit
-(** Serialise the cell's three counters (exact bit accounting). *)
-
-val read : params -> Stdx.Bitbuf.Reader.t -> t

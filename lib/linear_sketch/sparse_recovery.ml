@@ -92,30 +92,3 @@ let read_at params buf off r =
   for c = 0 to cells params - 1 do
     One_sparse.read_at params.cell buf (off + (c * One_sparse.words)) r
   done
-
-(* ------------------------------------------------------------------ *)
-(* Boxed view                                                          *)
-
-type t = { params : params; buf : int array; off : int }
-
-let create params = { params; buf = Array.make (words params) 0; off = 0 }
-
-let zero_like sketch = create sketch.params
-
-let update sketch i w = update_at sketch.params sketch.buf sketch.off i w
-
-let combine a b =
-  if a.params != b.params && a.params <> b.params then
-    invalid_arg "Sparse_recovery.combine: params mismatch";
-  let c = { params = a.params; buf = Array.sub a.buf a.off (words a.params); off = 0 } in
-  add_at a.params ~dst:c.buf c.off ~src:b.buf b.off;
-  c
-
-let decode sketch = decode_at sketch.params sketch.buf sketch.off
-
-let write sketch w = write_at sketch.params sketch.buf sketch.off w
-
-let read params r =
-  let sketch = create params in
-  read_at params sketch.buf sketch.off r;
-  sketch

@@ -15,8 +15,8 @@
     the [_at] operations act on such a region at a given offset.
     {!L0_sampler} packs its levels this way into one flat buffer, and
     players keep whole stacks of samplers in single {!Stdx.Scratch}
-    arena buffers. The boxed {!t} owns a private region and is
-    bit-identical to the flat layer. *)
+    arena buffers. A standalone sketch is an [Array.make (words params) 0]
+    buffer at offset [0]. *)
 
 type params
 
@@ -33,37 +33,21 @@ val update_at : params -> int array -> int -> int -> int -> unit
     sketch region at [buf.(off .. off + words params - 1)]. *)
 
 val add_at : params -> dst:int array -> int -> src:int array -> int -> unit
-(** In-place {!combine}: add the sketch region at [src.(soff ..)] into
-    the one at [dst.(doff ..)] cell by cell. *)
+(** Add the sketch region at [src.(soff ..)] into the one at
+    [dst.(doff ..)] in place, cell by cell: the sketch of the summed
+    vectors. Both regions must come from the same [params]. *)
 
 val decode_at : params -> int array -> int -> (int * int) list option
-(** Decode the region at [off] by peeling (see {!decode}). Works on a
+(** Decode the region at [off] by peeling: [Some assoc] with the exact
+    nonzero coordinates (sorted by index) if peeling terminates at zero;
+    [None] when the vector is too dense to recover. Works on a
     scratch copy borrowed from the calling domain's {!Stdx.Scratch}
     arena under the key ["sparse_recovery.decode"] — the input region
     is not modified, and callers must not hold a borrow of that same
     key across the call. *)
 
 val write_at : params -> int array -> int -> Stdx.Bitbuf.Writer.t -> unit
-(** Serialise the region's cells row-major — byte-identical to
-    {!write} of the equivalent boxed sketch. *)
+(** Serialise the region's cells row-major (exact bit accounting). *)
 
 val read_at : params -> int array -> int -> Stdx.Bitbuf.Reader.t -> unit
 (** Deserialise one sketch into the region at [off], overwriting it. *)
-
-type t
-
-val create : params -> t
-
-val zero_like : t -> t
-(** A fresh zero sketch with the same parameters. *)
-
-val update : t -> int -> int -> unit
-val combine : t -> t -> t
-
-val decode : t -> (int * int) list option
-(** [Some assoc] with the exact nonzero coordinates (sorted by index) if
-    peeling terminates at zero; [None] when the vector is too dense to
-    recover. The input sketch is not modified. *)
-
-val write : t -> Stdx.Bitbuf.Writer.t -> unit
-val read : params -> Stdx.Bitbuf.Reader.t -> t

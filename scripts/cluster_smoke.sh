@@ -4,7 +4,9 @@
 # the replay must be byte-identical), kill -9 the backend that served
 # it, re-run and require the failover response to be byte-for-byte the
 # same, check the `cluster` RPC reports the death, then drain everything
-# cleanly.
+# cleanly. Finally `bench cluster` (1 proxy + 4 in-process backends)
+# records the latency mixes in BENCH_cluster.json, which must parse and
+# carry 1000 samples for each of the four mixes.
 #
 # Run from the repo root after a build (`make cluster-smoke` does both).
 set -euo pipefail
@@ -12,6 +14,8 @@ set -euo pipefail
 SKETCHD=${SKETCHD:-./_build/default/bin/sketchd.exe}
 SKETCHPROXY=${SKETCHPROXY:-./_build/default/bin/sketchproxy.exe}
 SKETCHCTL=${SKETCHCTL:-./_build/default/bin/sketchctl.exe}
+BENCH=${BENCH:-./_build/default/bench/main.exe}
+JSONCHECK=${JSONCHECK:-./_build/default/bin/jsoncheck.exe}
 
 tmp=$(mktemp -d)
 b1_pid=
@@ -115,4 +119,15 @@ done
 b1_pid=
 b2_pid=
 
-echo "cluster-smoke: OK (byte-identical failover, health reported, clean drain)"
+# 8. Latency through the routing tier: every line of BENCH_cluster.json
+#    is one mix of 1000 samples, and all four mixes are there.
+"$BENCH" cluster --fast >"$tmp/bench_cluster.out"
+"$JSONCHECK" BENCH_cluster.json || fail "BENCH_cluster.json is not valid JSON-lines"
+if grep -v '"n":1000,' BENCH_cluster.json | grep -q .; then
+  fail "BENCH_cluster.json has a line without n=1000: $(cat BENCH_cluster.json)"
+fi
+for mix in ping run-uncached run-cached simulate-cached; do
+  grep -q "\"mix\":\"$mix\"" BENCH_cluster.json || fail "BENCH_cluster.json has no $mix line"
+done
+
+echo "cluster-smoke: OK (byte-identical failover, health reported, clean drain, latency bench)"

@@ -98,8 +98,12 @@ if [ "$soft" != "unlimited" ] && [ "$soft" -lt 10500 ]; then
   conns=$(( (soft - 500) / 2 ))
   echo "serve-smoke: fd limit $soft too small for 5000 connections; scaling to $conns"
 fi
-# The bench must refuse a malformed number with the usage line and exit 2.
-rc=0; "$BENCH" serve --connections 5k >/dev/null 2>&1 || rc=$?; [ "$rc" = 2 ] || fail "bench accepted --connections 5k (exit $rc, want 2)"
+# The bench must refuse a malformed or negative number with the usage
+# line and exit 2 (0 is valid: no herd).
+for bad in 5k -5; do
+  rc=0; "$BENCH" serve --connections "$bad" >/dev/null 2>&1 || rc=$?
+  [ "$rc" = 2 ] || fail "bench accepted --connections $bad (exit $rc, want 2)"
+done
 "$BENCH" serve --fast --connections "$conns" >"$tmp/bench_serve.out"
 grep -q "target=$conns" "$tmp/bench_serve.out" || fail "connection herd did not run: $(cat "$tmp/bench_serve.out")"
 grep -q 'shed=8 (saw 8/8 conn-limit frames)' "$tmp/bench_serve.out" \

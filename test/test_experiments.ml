@@ -1,171 +1,187 @@
-(* Smoke tests for Core.Experiments: every table/figure generator returns
-   rows with internally consistent fields at small sizes. *)
-
-module E = Core.Experiments
+(* Smoke tests for the per-table experiment modules: every table/figure
+   generator ([Core.Exp_rs.compute], [Core.Exp_claim31.compute], ...)
+   returns rows with internally consistent fields at small sizes. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let test_rs_table () =
-  let rows = E.rs_table ~ms:[ 3; 6 ] in
+  let rows = Core.Exp_rs.compute ~ms:[ 3; 6 ] () in
   checki "two rows" 2 (List.length rows);
   List.iter
-    (fun { E.row; verified } ->
+    (fun { Core.Exp_rs.row; verified } ->
       checkb "verified" true verified;
       checki "edges = r*t" (row.Rsgraph.Params.r * row.Rsgraph.Params.t) row.Rsgraph.Params.edges)
     rows
 
 let test_behrend_table () =
-  let rows = E.behrend_table ~ms:[ 10; 25 ] in
+  let module B = Core.Exp_behrend in
+  let rows = B.compute ~ms:[ 10; 25 ] () in
   List.iter
     (fun r ->
       checkb "best = max(greedy, behrend)" true
-        (r.E.best_size = max r.E.greedy_size r.E.behrend_size);
-      (match r.E.exact_size with
-      | Some e -> checkb "exact >= best" true (e >= r.E.best_size)
+        (r.B.best_size = max r.B.greedy_size r.B.behrend_size);
+      (match r.B.exact_size with
+      | Some e -> checkb "exact >= best" true (e >= r.B.best_size)
       | None -> ());
-      checkb "rate positive" true (r.E.rate > 0.))
+      checkb "rate positive" true (r.B.rate > 0.))
     rows
 
 let test_claim31 () =
-  let rows = E.claim31 ~ms:[ 5 ] ~samples:3 ~seed:1 () in
+  let module C = Core.Exp_claim31 in
+  let rows = C.compute ~ms:[ 5 ] ~samples:3 ~seed:1 () in
   List.iter
     (fun r ->
-      checkb "min <= mean" true (float_of_int r.E.min_union <= r.E.mean_union +. 1e-9);
-      checkb "violations bounded" true (r.E.violations >= 0 && r.E.violations <= r.E.samples))
+      checkb "min <= mean" true (float_of_int r.C.min_union <= r.C.mean_union +. 1e-9);
+      checkb "violations bounded" true (r.C.violations >= 0 && r.C.violations <= r.C.samples))
     rows
 
 let test_budget_sweep () =
-  let sweep = E.budget_sweep ~m:5 ~budgets:[ 4; 4096 ] ~trials:2 ~seed:2 () in
-  checki "rows = budgets x strategies" (2 * 3) (List.length sweep.E.rows);
+  let module S = Core.Exp_budget_sweep in
+  let sweep = S.compute ~m:5 ~budgets:[ 4; 4096 ] ~trials:2 ~seed:2 () in
+  checki "rows = budgets x strategies" (2 * 3) (List.length sweep.S.rows);
   List.iter
     (fun r ->
       checkb "fractions in range" true
-        (r.E.special_recovered >= 0. && r.E.special_recovered <= 1.
-        && r.E.relaxed_success >= 0. && r.E.relaxed_success <= 1.))
-    sweep.E.rows;
+        (r.S.special_recovered >= 0. && r.S.special_recovered <= 1.
+        && r.S.relaxed_success >= 0. && r.S.relaxed_success <= 1.))
+    sweep.S.rows;
   (* Huge budget should reach full relaxed success; oracle always does. *)
-  let big = List.filter (fun r -> r.E.budget_bits = 4096) sweep.E.rows in
-  List.iter (fun r -> checkb "large budget succeeds" true (r.E.relaxed_success >= 0.99)) big;
-  checkb "oracle succeeds" true (sweep.E.oracle_success >= 0.99);
-  checkb "oracle is cheap" true (sweep.E.oracle_bits <= 32)
+  let big = List.filter (fun r -> r.S.budget_bits = 4096) sweep.S.rows in
+  List.iter (fun r -> checkb "large budget succeeds" true (r.S.relaxed_success >= 0.99)) big;
+  checkb "oracle succeeds" true (sweep.S.oracle_success >= 0.99);
+  checkb "oracle is cheap" true (sweep.S.oracle_bits <= 32)
 
 let test_info_accounting () =
-  let reports = E.info_accounting ~bits:[ 2 ] in
+  let reports = Core.Exp_info_accounting.compute ~bits:[ 2 ] in
   checki "two sigma modes" 2 (List.length reports);
   List.iter
     (fun r -> checkb "inequalities hold" true (Core.Accounting.all_inequalities_hold r))
     reports
 
 let test_upper_bounds () =
-  let rows = E.upper_bounds ~ns:[ 48 ] ~seed:3 in
+  let module U = Core.Exp_upper_bounds in
+  let rows = U.compute ~ns:[ 48 ] ~seed:3 in
   List.iter
     (fun r ->
-      checkb "agm ok" true r.E.agm_ok;
-      checkb "coloring ok" true r.E.coloring_ok;
-      checkb "two-round mm ok" true r.E.two_round_mm_ok;
-      checkb "two-round mis ok" true r.E.two_round_mis_ok;
-      checkb "bits positive" true (r.E.trivial_mm_bits > 0))
+      checkb "agm ok" true r.U.agm_ok;
+      checkb "coloring ok" true r.U.coloring_ok;
+      checkb "two-round mm ok" true r.U.two_round_mm_ok;
+      checkb "two-round mis ok" true r.U.two_round_mis_ok;
+      checkb "bits positive" true (r.U.trivial_mm_bits > 0))
     rows
 
 let test_coloring_contrast () =
-  let rows = E.coloring_contrast ~ns:[ 128 ] ~seed:4 in
+  let module C = Core.Exp_coloring_contrast in
+  let rows = C.compute ~ns:[ 128 ] ~seed:4 in
   List.iter
     (fun r ->
-      checkb "proper" true r.E.proper;
-      checkb "ratio sane" true (r.E.ratio > 0. && r.E.ratio <= 1.2))
+      checkb "proper" true r.C.proper;
+      checkb "ratio sane" true (r.C.ratio > 0. && r.C.ratio <= 1.2))
     rows
 
 let test_bound_curve () =
-  let rows = E.bound_curve ~ms:[ 5; 20 ] in
-  (match rows with
+  let module B = Core.Exp_bound_curve in
+  let rows = B.compute ~ms:[ 5; 20 ] in
+  match rows with
   | [ a; b ] ->
-      checkb "n grows" true (b.E.n_dmm > a.E.n_dmm);
-      checkb "LB below 2-round UB" true (a.E.lower_bound_bits < a.E.two_round_bits);
-      checkb "2-round below trivial" true (a.E.two_round_bits < a.E.trivial_bits)
-  | _ -> Alcotest.fail "expected two rows")
+      checkb "n grows" true (b.B.n_dmm > a.B.n_dmm);
+      checkb "LB below 2-round UB" true (a.B.lower_bound_bits < a.B.two_round_bits);
+      checkb "2-round below trivial" true (a.B.two_round_bits < a.B.trivial_bits)
+  | _ -> Alcotest.fail "expected two rows"
 
 let test_reduction () =
-  let rows = E.reduction_check ~ms:[ 4 ] ~samples:2 ~seed:5 in
+  let module R = Core.Exp_reduction in
+  let rows = R.compute ~ms:[ 4 ] ~samples:2 ~seed:5 in
   List.iter
     (fun r ->
-      checkb "lemma" true r.E.lemma41_all;
-      checkb "complete" true r.E.complete_all;
-      checkb "min exact" true r.E.min_rule_exact_all;
-      checkb "ratio <= 2" true (r.E.cost_ratio <= 2. +. 1e-9))
+      checkb "lemma" true r.R.lemma41_all;
+      checkb "complete" true r.R.complete_all;
+      checkb "min exact" true r.R.min_rule_exact_all;
+      checkb "ratio <= 2" true (r.R.cost_ratio <= 2. +. 1e-9))
     rows
 
 let test_bridge () =
-  let rows = E.bridge ~halves:[ 24 ] ~samples:[ 3 ] ~trials:4 ~seed:6 in
+  let module B = Core.Exp_bridge in
+  let rows = B.compute ~halves:[ 24 ] ~samples:[ 3 ] ~trials:4 ~seed:6 in
   List.iter
     (fun r ->
-      checkb "success rate valid" true (r.E.success >= 0. && r.E.success <= 1.);
-      checkb "bits positive" true (r.E.max_bits > 0))
+      checkb "success rate valid" true (r.B.success >= 0. && r.B.success <= 1.);
+      checkb "bits positive" true (r.B.max_bits > 0))
     rows
 
 let test_packing () =
-  let rows = E.packing_table ~ms:[ 4 ] ~tries:300 ~seed:7 () in
+  let module P = Core.Exp_packing in
+  let rows = P.compute ~ms:[ 4 ] ~tries:300 ~seed:7 () in
   List.iter
-    (fun r -> checkb "some packing" true (r.E.packed_t >= 1 && r.E.behrend_t >= 1))
+    (fun r -> checkb "some packing" true (r.P.packed_t >= 1 && r.P.behrend_t >= 1))
     rows
 
 let test_estimate () =
-  let rows = E.estimate_accounting ~bits:[ 14 ] ~samples:2000 ~seed:8 () in
+  let module E = Core.Exp_estimate_info in
+  let rows = E.compute ~bits:[ 14 ] ~samples:2000 ~seed:8 () in
   List.iter (fun r -> checkb "error small at saturating b" true (r.E.abs_error < 0.25)) rows
 
 let test_yao () =
-  let rows = E.yao_table ~m:5 ~budgets:[ 24 ] ~instances:6 ~seeds:3 ~seed:9 in
+  let module Y = Core.Exp_yao in
+  let rows = Y.compute ~m:5 ~budgets:[ 24 ] ~instances:6 ~seeds:3 ~seed:9 in
   List.iter
     (fun r ->
-      checkb "dominates" true r.E.dominates;
+      checkb "dominates" true r.Y.dominates;
       checkb "rates in range" true
-        (r.E.randomized >= 0. && r.E.randomized <= r.E.derandomized +. 1e-9))
+        (r.Y.randomized >= 0. && r.Y.randomized <= r.Y.derandomized +. 1e-9))
     rows
 
 let test_bcc () =
-  let rows = E.bcc_table ~ms:[ 5 ] ~trials:2 ~seed:10 in
+  let module B = Core.Exp_bcc in
+  let rows = B.compute ~ms:[ 5 ] ~trials:2 ~seed:10 in
   List.iter
     (fun r ->
-      checkb "bcc maximal" true r.E.bcc_maximal;
-      checkb "bits per round tiny" true (r.E.bcc_bits_per_round <= 24))
+      checkb "bcc maximal" true r.B.bcc_maximal;
+      checkb "bits per round tiny" true (r.B.bcc_bits_per_round <= 24))
     rows
 
 let test_k_sweep_smoke () =
-  let rows = E.k_sweep ~m:5 ~ks:[ 2; 5 ] ~budgets:[ 8; 512 ] ~trials:2 ~seed:11 in
+  let module K = Core.Exp_k_sweep in
+  let rows = K.compute ~m:5 ~ks:[ 2; 5 ] ~budgets:[ 8; 512 ] ~trials:2 ~seed:11 in
   checki "rows" 2 (List.length rows);
-  List.iter (fun r -> checkb "LB positive" true (r.E.predicted > 0.)) rows
+  List.iter (fun r -> checkb "LB positive" true (r.K.predicted > 0.)) rows
 
 let test_streams_smoke () =
-  let rows = E.stream_table ~ns:[ 20 ] ~seed:12 in
+  let module S = Core.Exp_streams in
+  let rows = S.compute ~ns:[ 20 ] ~seed:12 in
   List.iter
     (fun r ->
-      checkb "forest ok" true r.E.forest_ok;
-      checkb "bits equal" true r.E.messages_identical)
+      checkb "forest ok" true r.S.forest_ok;
+      checkb "bits equal" true r.S.messages_identical)
     rows
 
 let test_connectivity_smoke () =
-  let rows = E.connectivity_table ~seed:13 in
+  let module C = Core.Exp_connectivity in
+  let rows = C.compute ~seed:13 in
   List.iter
     (fun r ->
-      checkb "cert valid" true r.E.cert_valid;
-      checki "estimate exact" r.E.truth r.E.estimate;
-      checkb "bipartite agrees" true (r.E.bipartite_sketch = r.E.bipartite_truth))
+      checkb "cert valid" true r.C.cert_valid;
+      checki "estimate exact" r.C.truth r.C.estimate;
+      checkb "bipartite agrees" true (r.C.bipartite_sketch = r.C.bipartite_truth))
     rows
 
 let test_rounds_smoke () =
-  let rows = E.rounds_table ~ms:[ 5 ] ~seed:14 in
+  let module R = Core.Exp_rounds in
+  let rows = R.compute ~ms:[ 5 ] ~seed:14 in
   List.iter
     (fun r ->
-      checkb "two-round mm" true r.E.two_round_mm_maximal;
-      checkb "two-round mis" true r.E.two_round_mis_maximal;
+      checkb "two-round mm" true r.R.two_round_mm_maximal;
+      checkb "two-round mis" true r.R.two_round_mis_maximal;
       checkb "one-round fraction valid" true
-        (r.E.one_round_undominated >= 0. && r.E.one_round_undominated < 1.))
+        (r.R.one_round_undominated >= 0. && r.R.one_round_undominated < 1.))
     rows
 
 let test_approx_smoke () =
-  let rows = E.approx_matching ~ns:[ 24 ] ~budgets:[ 16 ] ~trials:2 ~seed:15 in
+  let module A = Core.Exp_approx_matching in
+  let rows = A.compute ~ns:[ 24 ] ~budgets:[ 16 ] ~trials:2 ~seed:15 in
   List.iter
-    (fun r -> checkb "ratio in (0,1]" true (r.E.ratio_mean > 0. && r.E.ratio_mean <= 1.))
+    (fun r -> checkb "ratio in (0,1]" true (r.A.ratio_mean > 0. && r.A.ratio_mean <= 1.))
     rows
 
 let () =

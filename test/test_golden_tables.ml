@@ -1,5 +1,5 @@
 (* Byte-identity against pre-refactor terminal output: golden/<id>.txt
-   holds the exact bytes the monolithic Experiments print functions
+   holds the exact bytes the original monolithic print functions
    produced at the parameters below (captured before the registry split).
    Rendering the same experiment through Exp_registry.table + Tabular's
    text renderer must reproduce every file byte for byte.

@@ -10,79 +10,83 @@ let checki = Alcotest.(check int)
 
 let one_params seed = One.make_params (Stdx.Prng.create seed) ~universe:10000
 
+(* A standalone cell: one [One.words]-sized buffer at offset 0. *)
+let cell () = Array.make One.words 0
+
 let test_one_sparse_zero () =
-  let c = One.create (one_params 1) in
-  checkb "fresh is zero" true (One.decode c = One.Zero);
-  One.update c 5 3;
-  One.update c 5 (-3);
-  checkb "cancelled is zero" true (One.decode c = One.Zero)
+  let params = one_params 1 in
+  let c = cell () in
+  checkb "fresh is zero" true (One.decode_at params c 0 = One.Zero);
+  One.update_at params c 0 5 3;
+  One.update_at params c 0 5 (-3);
+  checkb "cancelled is zero" true (One.decode_at params c 0 = One.Zero)
 
 let test_one_sparse_singleton () =
-  let c = One.create (one_params 2) in
-  One.update c 137 1;
-  checkb "singleton" true (One.decode c = One.Singleton (137, 1));
-  One.update c 137 4;
-  checkb "accumulated weight" true (One.decode c = One.Singleton (137, 5));
-  let neg = One.create (one_params 2) in
-  One.update neg 9999 (-7);
-  checkb "negative weight" true (One.decode neg = One.Singleton (9999, -7))
+  let params = one_params 2 in
+  let c = cell () in
+  One.update_at params c 0 137 1;
+  checkb "singleton" true (One.decode_at params c 0 = One.Singleton (137, 1));
+  One.update_at params c 0 137 4;
+  checkb "accumulated weight" true (One.decode_at params c 0 = One.Singleton (137, 5));
+  let neg = cell () in
+  One.update_at params neg 0 9999 (-7);
+  checkb "negative weight" true (One.decode_at params neg 0 = One.Singleton (9999, -7))
 
 let test_one_sparse_collision () =
-  let c = One.create (one_params 3) in
-  One.update c 10 1;
-  One.update c 20 1;
-  checkb "two items collide" true (One.decode c = One.Collision);
+  let params = one_params 3 in
+  let c = cell () in
+  One.update_at params c 0 10 1;
+  One.update_at params c 0 20 1;
+  checkb "two items collide" true (One.decode_at params c 0 = One.Collision);
   (* A +1/-1 pair has s0 = 0 but nonzero fingerprint. *)
-  let c2 = One.create (one_params 3) in
-  One.update c2 10 1;
-  One.update c2 20 (-1);
-  checkb "cancelling pair detected" true (One.decode c2 = One.Collision)
+  let c2 = cell () in
+  One.update_at params c2 0 10 1;
+  One.update_at params c2 0 20 (-1);
+  checkb "cancelling pair detected" true (One.decode_at params c2 0 = One.Collision)
 
-let test_one_sparse_combine_scale () =
+let test_one_sparse_combine () =
   let params = one_params 4 in
-  let a = One.create params and b = One.create params in
-  One.update a 42 2;
-  One.update b 42 (-2);
-  One.update b 77 5;
-  let sum = One.combine a b in
-  checkb "combine cancels" true (One.decode sum = One.Singleton (77, 5));
-  let scaled = One.scale sum 3 in
-  checkb "scale" true (One.decode scaled = One.Singleton (77, 15))
-
-let test_one_sparse_params_mismatch () =
-  let a = One.create (one_params 5) and b = One.create (one_params 6) in
-  Alcotest.check_raises "params mismatch"
-    (Invalid_argument "One_sparse.combine: params mismatch") (fun () ->
-      ignore (One.combine a b))
+  let a = cell () and b = cell () in
+  One.update_at params a 0 42 2;
+  One.update_at params b 0 42 (-2);
+  One.update_at params b 0 77 5;
+  One.add_at params ~dst:a 0 ~src:b 0;
+  checkb "combine cancels" true (One.decode_at params a 0 = One.Singleton (77, 5))
 
 let test_one_sparse_serialization () =
   let params = one_params 7 in
-  let c = One.create params in
-  One.update c 123 (-4);
+  let c = cell () in
+  One.update_at params c 0 123 (-4);
   let w = Stdx.Bitbuf.Writer.create () in
-  One.write c w;
-  let c' = One.read params (Stdx.Bitbuf.Reader.of_writer w) in
-  checkb "roundtrip decode" true (One.decode c' = One.Singleton (123, -4))
+  One.write_at params c 0 w;
+  let c' = cell () in
+  One.read_at params c' 0 (Stdx.Bitbuf.Reader.of_writer w);
+  checkb "roundtrip decode" true (One.decode_at params c' 0 = One.Singleton (123, -4))
 
 let sr_params seed = Sr.make_params (Stdx.Prng.create seed) ~universe:5000 ~buckets:8 ~reps:3
 
+(* A standalone s-sparse sketch: one [Sr.words params]-sized buffer. *)
+let sketch params = Array.make (Sr.words params) 0
+
 let test_sparse_recovery_exact () =
-  let s = Sr.create (sr_params 1) in
+  let params = sr_params 1 in
+  let s = sketch params in
   let items = [ (17, 1); (1000, -2); (4999, 7) ] in
-  List.iter (fun (i, w) -> Sr.update s i w) items;
-  (match Sr.decode s with
+  List.iter (fun (i, w) -> Sr.update_at params s 0 i w) items;
+  (match Sr.decode_at params s 0 with
   | Some got -> Alcotest.(check (list (pair int int))) "exact recovery" items got
   | None -> Alcotest.fail "decode failed on 3-sparse input");
-  checkb "empty" true (Sr.decode (Sr.create (sr_params 1)) = Some [])
+  checkb "empty" true (Sr.decode_at params (sketch params) 0 = Some [])
 
 let test_sparse_recovery_cancellation () =
   let params = sr_params 2 in
-  let a = Sr.create params and b = Sr.create params in
-  List.iter (fun i -> Sr.update a i 1) [ 1; 2; 3; 4 ];
-  List.iter (fun i -> Sr.update b i (-1)) [ 2; 3 ];
-  (match Sr.decode (Sr.combine a b) with
+  let a = sketch params and b = sketch params in
+  List.iter (fun i -> Sr.update_at params a 0 i 1) [ 1; 2; 3; 4 ];
+  List.iter (fun i -> Sr.update_at params b 0 i (-1)) [ 2; 3 ];
+  Sr.add_at params ~dst:a 0 ~src:b 0;
+  match Sr.decode_at params a 0 with
   | Some got -> Alcotest.(check (list (pair int int))) "residual" [ (1, 1); (4, 1) ] got
-  | None -> Alcotest.fail "decode failed after cancellation")
+  | None -> Alcotest.fail "decode failed after cancellation"
 
 let test_sparse_recovery_soundness () =
   (* Whatever decode returns (when it succeeds), it must equal the true
@@ -90,16 +94,16 @@ let test_sparse_recovery_soundness () =
   let rng = Stdx.Prng.create 11 in
   for trial = 1 to 100 do
     let params = Sr.make_params (Stdx.Prng.create trial) ~universe:2000 ~buckets:8 ~reps:3 in
-    let s = Sr.create params in
+    let s = sketch params in
     let count = Stdx.Prng.int rng 12 in
     let truth = Hashtbl.create 8 in
     for _ = 1 to count do
       let i = Stdx.Prng.int rng 2000 in
       let w = 1 + Stdx.Prng.int rng 5 in
-      Sr.update s i w;
+      Sr.update_at params s 0 i w;
       Hashtbl.replace truth i (w + Option.value ~default:0 (Hashtbl.find_opt truth i))
     done;
-    match Sr.decode s with
+    match Sr.decode_at params s 0 with
     | None -> () (* allowed: too dense *)
     | Some got ->
         let expected =
@@ -116,11 +120,13 @@ let test_sparse_recovery_success_rate () =
   let successes = ref 0 in
   for trial = 1 to 100 do
     let params = Sr.make_params (Stdx.Prng.create (trial * 7)) ~universe:3000 ~buckets:8 ~reps:3 in
-    let s = Sr.create params in
+    let s = sketch params in
     let rng = Stdx.Prng.create (trial + 5000) in
     let items = Stdx.Prng.sample_distinct rng 4 3000 in
-    Array.iter (fun i -> Sr.update s i 1) items;
-    match Sr.decode s with Some l when List.length l = 4 -> incr successes | Some _ | None -> ()
+    Array.iter (fun i -> Sr.update_at params s 0 i 1) items;
+    match Sr.decode_at params s 0 with
+    | Some l when List.length l = 4 -> incr successes
+    | Some _ | None -> ()
   done;
   checkb (Printf.sprintf "4-sparse decodes >= 95%% (%d)" !successes) true (!successes >= 95)
 
@@ -187,20 +193,22 @@ let qcheck_tests =
       (QCheck.Test.make ~name:"one-sparse decode on random singleton" ~count:300
          QCheck.(triple (int_range 0 1000) (int_range 0 9999) (int_range 1 100))
          (fun (seed, i, w) ->
-           let c = One.create (one_params seed) in
-           One.update c i w;
-           One.decode c = One.Singleton (i, w)));
+           let params = one_params seed in
+           let c = cell () in
+           One.update_at params c 0 i w;
+           One.decode_at params c 0 = One.Singleton (i, w)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"one-sparse serialization roundtrip" ~count:200
          QCheck.(pair (int_range 0 1000) (small_list (pair (int_range 0 9999) (int_range (-50) 50))))
          (fun (seed, updates) ->
            let params = one_params seed in
-           let c = One.create params in
-           List.iter (fun (i, w) -> One.update c i w) updates;
+           let c = cell () in
+           List.iter (fun (i, w) -> One.update_at params c 0 i w) updates;
            let w = Stdx.Bitbuf.Writer.create () in
-           One.write c w;
-           let c' = One.read params (Stdx.Bitbuf.Reader.of_writer w) in
-           One.decode c' = One.decode c));
+           One.write_at params c 0 w;
+           let c' = cell () in
+           One.read_at params c' 0 (Stdx.Bitbuf.Reader.of_writer w);
+           One.decode_at params c' 0 = One.decode_at params c 0));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"combine = updates applied to one sketch" ~count:200
          QCheck.(triple (int_range 0 1000)
@@ -208,18 +216,20 @@ let qcheck_tests =
                    (small_list (pair (int_range 0 4999) (int_range (-9) 9))))
          (fun (seed, ua, ub) ->
            let params = sr_params seed in
-           let a = Sr.create params and b = Sr.create params and whole = Sr.create params in
-           List.iter (fun (i, w) -> Sr.update a i w; Sr.update whole i w) ua;
-           List.iter (fun (i, w) -> Sr.update b i w; Sr.update whole i w) ub;
-           Sr.decode (Sr.combine a b) = Sr.decode whole));
+           let a = sketch params and b = sketch params and whole = sketch params in
+           List.iter (fun (i, w) -> Sr.update_at params a 0 i w; Sr.update_at params whole 0 i w) ua;
+           List.iter (fun (i, w) -> Sr.update_at params b 0 i w; Sr.update_at params whole 0 i w) ub;
+           Sr.add_at params ~dst:a 0 ~src:b 0;
+           Sr.decode_at params a 0 = Sr.decode_at params whole 0));
   ]
 
-(* Flat/boxed equivalence: the [_at] operations over caller-owned
-   buffers and the boxed API must act on identical bit patterns
-   (PERFORMANCE.md, "Flat sketch layouts"). Same updates through both
-   layers must decode the same and serialise byte-identically, from any
-   buffer offset; and a Scratch reset-reuse cycle — borrow, poison the
-   cached store, re-borrow — must be invisible in the serialised bytes. *)
+(* Flat-layout equivalence: a sketch region at any offset of a larger
+   buffer must decode and serialise byte-identically to the same sketch
+   alone in its own buffer, and an L0 sampler viewing a caller-owned
+   buffer ([of_buffer]) must match one with a private buffer
+   (PERFORMANCE.md, "Flat sketch layouts"). A Scratch reset-reuse
+   cycle — borrow, poison the cached store, re-borrow — must be
+   invisible in the serialised bytes. *)
 let writer_bytes w =
   let bytes, bits = Stdx.Bitbuf.Writer.contents w in
   (Bytes.to_string bytes, bits)
@@ -227,41 +237,43 @@ let writer_bytes w =
 let flat_boxed_qcheck =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"one-sparse flat region == boxed cell" ~count:300
+      (QCheck.Test.make ~name:"one-sparse offset region" ~count:300
          QCheck.(
            triple (int_range 0 1000) (int_range 0 5)
              (small_list (pair (int_range 0 9999) (int_range (-9) 9))))
          (fun (seed, off, updates) ->
            let params = one_params seed in
-           let boxed = One.create params in
+           let alone = cell () in
            let buf = Array.make (off + One.words) 0 in
            List.iter
              (fun (i, w) ->
-               One.update boxed i w;
+               One.update_at params alone 0 i w;
                One.update_at params buf off i w)
              updates;
-           let wb = Stdx.Bitbuf.Writer.create () and wf = Stdx.Bitbuf.Writer.create () in
-           One.write boxed wb;
+           let wa = Stdx.Bitbuf.Writer.create () and wf = Stdx.Bitbuf.Writer.create () in
+           One.write_at params alone 0 wa;
            One.write_at params buf off wf;
-           One.decode_at params buf off = One.decode boxed && writer_bytes wf = writer_bytes wb));
+           One.decode_at params buf off = One.decode_at params alone 0
+           && writer_bytes wf = writer_bytes wa));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"sparse-recovery flat region == boxed sketch" ~count:200
+      (QCheck.Test.make ~name:"s-sparse offset region" ~count:200
          QCheck.(
            triple (int_range 0 1000) (int_range 0 5)
              (small_list (pair (int_range 0 4999) (int_range (-9) 9))))
          (fun (seed, off, updates) ->
            let params = sr_params seed in
-           let boxed = Sr.create params in
+           let alone = sketch params in
            let buf = Array.make (off + Sr.words params) 0 in
            List.iter
              (fun (i, w) ->
-               Sr.update boxed i w;
+               Sr.update_at params alone 0 i w;
                Sr.update_at params buf off i w)
              updates;
-           let wb = Stdx.Bitbuf.Writer.create () and wf = Stdx.Bitbuf.Writer.create () in
-           Sr.write boxed wb;
+           let wa = Stdx.Bitbuf.Writer.create () and wf = Stdx.Bitbuf.Writer.create () in
+           Sr.write_at params alone 0 wa;
            Sr.write_at params buf off wf;
-           Sr.decode_at params buf off = Sr.decode boxed && writer_bytes wf = writer_bytes wb));
+           Sr.decode_at params buf off = Sr.decode_at params alone 0
+           && writer_bytes wf = writer_bytes wa));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"l0 of_buffer == private-buffer sampler" ~count:200
          QCheck.(
@@ -324,19 +336,6 @@ let flat_boxed_qcheck =
            writer_bytes wr = writer_bytes wf));
   ]
 
-let scale_qcheck =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"one-sparse scale is linear" ~count:200
-       QCheck.(triple (int_range 0 1000) (int_range 0 9999) (pair (int_range 1 20) (int_range (-5) 5)))
-       (fun (seed, i, (w, c)) ->
-         let params = one_params seed in
-         let a = One.create params in
-         One.update a i w;
-         let scaled = One.scale a c in
-         let direct = One.create params in
-         One.update direct i (w * c);
-         One.decode scaled = One.decode direct))
-
 let () =
   Alcotest.run "linear_sketch"
     [
@@ -345,8 +344,7 @@ let () =
           Alcotest.test_case "zero" `Quick test_one_sparse_zero;
           Alcotest.test_case "singleton" `Quick test_one_sparse_singleton;
           Alcotest.test_case "collision" `Quick test_one_sparse_collision;
-          Alcotest.test_case "combine/scale" `Quick test_one_sparse_combine_scale;
-          Alcotest.test_case "params mismatch" `Quick test_one_sparse_params_mismatch;
+          Alcotest.test_case "combine" `Quick test_one_sparse_combine;
           Alcotest.test_case "serialization" `Quick test_one_sparse_serialization;
         ] );
       ( "sparse-recovery",
@@ -365,6 +363,6 @@ let () =
           Alcotest.test_case "serialization" `Quick test_l0_serialization;
           Alcotest.test_case "support hint" `Quick test_l0_support_hint;
         ] );
-      ("linear-sketch-properties", scale_qcheck :: qcheck_tests);
+      ("linear-sketch-properties", qcheck_tests);
       ("flat-boxed-equivalence", flat_boxed_qcheck);
     ]

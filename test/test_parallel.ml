@@ -1,10 +1,9 @@
 (* Tests for Stdx.Parallel, the deterministic multicore trial engine:
    chunking never drops/duplicates/reorders indices, results are
    bit-identical at every job count, and the parallelized experiment
-   tables (claim31, budget_sweep, estimate_accounting, packing_table)
-   agree across jobs = 1, 2, 4. *)
+   tables (Core.Exp_claim31, Exp_budget_sweep, Exp_estimate_info,
+   Exp_packing) agree across jobs = 1, 2, 4. *)
 
-module E = Core.Experiments
 module P = Stdx.Parallel
 
 let checkb = Alcotest.(check bool)
@@ -89,29 +88,30 @@ let assert_jobs_invariant name run =
 
 let test_claim31_jobs_invariant () =
   assert_jobs_invariant "claim31" (fun jobs ->
-      E.claim31 ~jobs ~ms:[ 4; 5 ] ~samples:7 ~seed:3 ())
+      Core.Exp_claim31.compute ~jobs ~ms:[ 4; 5 ] ~samples:7 ~seed:3 ())
 
 let test_budget_sweep_jobs_invariant () =
   assert_jobs_invariant "budget_sweep" (fun jobs ->
-      E.budget_sweep ~jobs ~m:5 ~budgets:[ 8; 64 ] ~trials:5 ~seed:5 ())
+      Core.Exp_budget_sweep.compute ~jobs ~m:5 ~budgets:[ 8; 64 ] ~trials:5 ~seed:5 ())
 
 let test_estimate_jobs_invariant () =
   assert_jobs_invariant "estimate_accounting" (fun jobs ->
-      E.estimate_accounting ~jobs ~bits:[ 4 ] ~samples:300 ~seed:7 ())
+      Core.Exp_estimate_info.compute ~jobs ~bits:[ 4 ] ~samples:300 ~seed:7 ())
 
 let test_packing_jobs_invariant () =
   assert_jobs_invariant "packing_table" (fun jobs ->
-      E.packing_table ~jobs ~ms:[ 3; 4; 5 ] ~tries:120 ~seed:9 ())
+      Core.Exp_packing.compute ~jobs ~ms:[ 3; 4; 5 ] ~tries:120 ~seed:9 ())
 
 let test_parallel_speedup_identical () =
-  let rows = E.parallel_speedup ~jobs:4 ~m:4 ~samples:6 ~seed:11 () in
+  let module S = Core.Exp_speedup in
+  let rows = S.compute ~jobs:4 ~m:4 ~samples:6 ~seed:11 () in
   checkb "at least two job counts measured" true (List.length rows >= 2);
   List.iter
     (fun r ->
-      checkb (Printf.sprintf "jobs=%d rows identical to sequential" r.E.pjobs) true r.E.identical;
-      checkb "wall-clock non-negative" true (r.E.wall_s >= 0.))
+      checkb (Printf.sprintf "jobs=%d rows identical to sequential" r.S.pjobs) true r.S.identical;
+      checkb "wall-clock non-negative" true (r.S.wall_s >= 0.))
     rows;
-  checki "baseline row is jobs=1" 1 (List.hd rows).E.pjobs
+  checki "baseline row is jobs=1" 1 (List.hd rows).S.pjobs
 
 let qcheck_tests =
   [
