@@ -24,7 +24,7 @@ let compute ~ns ~seed =
       let g = Dgraph.Gen.gnp rng n 0.5 in
       let coins = Public_coins.create (Stdx.Hashing.mix64 (seed * 11 + n)) in
       let outcome, stats = Coloring.Palette.run g coins in
-      let _, trivial_stats = Model.run Protocols.Trivial.mm g coins in
+      let (), trivial_stats = Model.run Protocols.Trivial.baseline g coins in
       let delta = Graph.max_degree g in
       {
         cn = n;

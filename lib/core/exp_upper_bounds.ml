@@ -31,7 +31,7 @@ let compute ~ns ~seed =
       let coins = Public_coins.create (Stdx.Hashing.mix64 (seed * 7 + n)) in
       let forest, agm_stats = Agm.Spanning_forest.run g coins in
       let color_outcome, color_stats = Coloring.Palette.run g coins in
-      let _, trivial_stats = Model.run Protocols.Trivial.mm g coins in
+      let (), trivial_stats = Model.run Protocols.Trivial.baseline g coins in
       let mm2, mm2_stats = Protocols.Two_round_mm.run g coins in
       let mis2, mis2_stats = Protocols.Two_round_mis.run g coins in
       {

@@ -32,3 +32,6 @@ let mis =
     player;
     referee = (fun ~n ~sketches _coins -> Dgraph.Mis.greedy (reconstruct ~n ~sketches) ());
   }
+
+let baseline =
+  { Model.name = "trivial-baseline"; player; referee = (fun ~n:_ ~sketches:_ _coins -> ()) }

@@ -9,6 +9,12 @@ val mm : Dgraph.Matching.t Sketchmodel.Model.protocol
 val mis : Dgraph.Mis.t Sketchmodel.Model.protocol
 (** Referee outputs a greedy MIS of the reconstructed graph. *)
 
+val baseline : unit Sketchmodel.Model.protocol
+(** The trivial players with a referee that decodes nothing. For tables
+    that report only the trivial protocol's bits: {!Sketchmodel.Model.run}
+    accounts them exactly as for {!mm} and {!mis}, without rebuilding the
+    graph or solving anything. *)
+
 val reconstruct :
   n:int -> sketches:Stdx.Bitbuf.Reader.t array -> Dgraph.Graph.t
 (** The shared referee front half: rebuild the exact input graph. *)

@@ -67,15 +67,21 @@ let gspec_of_json j =
     | Some (T.Jint i) -> Some (float_of_int i)
     | _ -> None
   in
+  (* The least [n] each generator accepts; below it the spec is a 400
+     naming the bound, never a generator's [Invalid_argument]. *)
+  let at_least kind lo n =
+    if n >= lo then Ok n else Error (Printf.sprintf "graph kind %S needs \"n\" >= %d" kind lo)
+  in
   match (T.member "kind" j, int "n") with
-  | Some (T.Jstr "gnp"), Some n -> (
-      match num "p" with
-      | Some p when p >= 0. && p <= 1. && n >= 0 -> Ok (Gnp { n; p })
-      | _ -> Error "gnp needs a probability field \"p\" in [0,1]")
-  | Some (T.Jstr "path"), Some n -> Ok (Path n)
-  | Some (T.Jstr "cycle"), Some n -> Ok (Cycle n)
-  | Some (T.Jstr "complete"), Some n -> Ok (Complete n)
-  | Some (T.Jstr "star"), Some n -> Ok (Star n)
+  | Some (T.Jstr "gnp"), Some n ->
+      Result.bind (at_least "gnp" 0 n) (fun n ->
+          match num "p" with
+          | Some p when p >= 0. && p <= 1. -> Ok (Gnp { n; p })
+          | _ -> Error "gnp needs a probability field \"p\" in [0,1]")
+  | Some (T.Jstr "path"), Some n -> Result.map (fun n -> Path n) (at_least "path" 0 n)
+  | Some (T.Jstr "cycle"), Some n -> Result.map (fun n -> Cycle n) (at_least "cycle" 3 n)
+  | Some (T.Jstr "complete"), Some n -> Result.map (fun n -> Complete n) (at_least "complete" 0 n)
+  | Some (T.Jstr "star"), Some n -> Result.map (fun n -> Star n) (at_least "star" 1 n)
   | Some (T.Jstr "hyperk"), Some n -> (
       match (int "m", int "k") with
       | Some m, Some k when n >= 0 && m >= 0 && k >= 2 && k <= n -> Ok (Hyperk { n; m; k })

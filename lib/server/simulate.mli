@@ -51,7 +51,10 @@ val json_of_gspec : gspec -> T.json
 (** Wire encoding of a graph spec (canonical field order). *)
 
 val gspec_of_json : T.json -> (gspec, string) result
-(** Parse a wire graph spec; [Error] carries a human-readable reason. *)
+(** Parse a wire graph spec; [Error] carries a human-readable reason.
+    Every [Ok] spec builds: [n] must be at least 0 for [gnp], [path] and
+    [complete], 3 for [cycle] and 1 for [star], else the reason names
+    ["n"] and its bound. *)
 
 val protocols : (string * string) list
 (** [(name, doc)] for every runnable protocol: [trivial-mm], [trivial-mis],

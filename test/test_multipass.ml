@@ -286,6 +286,35 @@ let qcheck_tests =
            let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n 0.3 in
            let mis, _ = Multipass.Luby.run prio g (PC.create (seed * 2 + 1)) in
            Dgraph.Mis.is_maximal g mis));
+    (* Exact oracle: rounds change only the bits, never the MIS. Every r
+       gives greedy over the shared "frontier-prefix-permutation" order. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"frontier MIS = greedy in pi order for r = 1..6" ~count:60
+         QCheck.(
+           triple (int_range 1 84) (oneofl [ 0.05; 0.1; 0.25; 0.5 ]) (int_range 0 10000))
+         (fun (n, p, seed) ->
+           let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n p in
+           let coins = PC.create (seed + 3) in
+           let pi =
+             Stdx.Prng.permutation (PC.global coins "frontier-prefix-permutation") n
+           in
+           let expected = List.sort compare (Dgraph.Mis.greedy g ~order:pi ()) in
+           List.for_all
+             (fun r ->
+               let mis, _ = Multipass.Frontier.run ~rounds:r g coins in
+               List.sort compare mis = expected)
+             [ 1; 2; 3; 4; 5; 6 ]));
+    (* Exact oracle: under Index, [beats] is [u > v], so the higher id
+       always wins and Luby is greedy in descending-id order. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"luby Index MIS = greedy in descending-id order" ~count:60
+         QCheck.(
+           triple (int_range 1 84) (oneofl [ 0.05; 0.1; 0.25; 0.5 ]) (int_range 0 10000))
+         (fun (n, p, seed) ->
+           let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n p in
+           let order = Array.init n (fun i -> n - 1 - i) in
+           let mis, _ = Multipass.Luby.run Multipass.Luby.Index g (PC.create seed) in
+           List.sort compare mis = List.sort compare (Dgraph.Mis.greedy g ~order ())));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"stream matching maximal for any chunked replay" ~count:40
          QCheck.(triple (int_range 2 25) (int_range 0 10000) (int_range 1 6))

@@ -143,6 +143,19 @@ let qcheck_tests =
            let m, _ = Model.run Protocols.Trivial.mm g (PC.create seed) in
            Dgraph.Matching.is_maximal g m));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"trivial baseline bits equal trivial MM bits" ~count:80
+         QCheck.(
+           triple
+             (oneof [ always 0; always 1; int_range 2 60 ])
+             (oneofl [ 0.; 0.1; 0.5; 1. ])
+             (int_range 0 1000))
+         (fun (n, p, seed) ->
+           let g = random_graph seed n p in
+           (* [stats] is max_bits, total_bits, avg_bits and players. *)
+           let (), base = Model.run Protocols.Trivial.baseline g (PC.create seed) in
+           let _, mm = Model.run Protocols.Trivial.mm g (PC.create seed) in
+           base = mm));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"two-round MM maximal on random graphs" ~count:40
          QCheck.(pair (int_range 2 60) (int_range 0 1000))
          (fun (n, seed) ->

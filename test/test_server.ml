@@ -250,6 +250,39 @@ let test_service_errors () =
       let j = T.json_of_string (S.handle t "this is not json").S.payload in
       checks "garbage payload" "bad-request" (error_tag j))
 
+(* A graph spec below its generator's least [n] is the client's mistake:
+   a 400 naming "n" and the bound, never a 500 from the generator. At the
+   bound the same request is ok. *)
+let test_simulate_graph_n_bounds () =
+  with_service (fun t ->
+      let req kind n =
+        let extra = if kind = "gnp" then [ ("p", T.Jfloat 0.5) ] else [] in
+        [
+          ("op", T.Jstr "simulate");
+          ("protocol", T.Jstr "trivial-mm");
+          ("graph", T.Jobj ([ ("kind", T.Jstr kind); ("n", T.Jint n) ] @ extra));
+        ]
+      in
+      List.iter
+        (fun (kind, lo, bad) ->
+          let name = Printf.sprintf "%s n=%d" kind bad in
+          let j = json t (req kind bad) in
+          checki (name ^ " code") 400 (code_of j);
+          checks (name ^ " tag") "bad-request" (error_tag j);
+          let msg = match T.member "msg" j with Some (T.Jstr m) -> m | _ -> "" in
+          checks (name ^ " msg")
+            (Printf.sprintf "graph kind %S needs \"n\" >= %d" kind lo)
+            msg;
+          checkb (Printf.sprintf "%s n=%d ok" kind lo) true (is_ok (json t (req kind lo))))
+        [
+          ("gnp", 0, -1);
+          ("path", 0, -2);
+          ("complete", 0, -1);
+          ("cycle", 3, 2);
+          ("cycle", 3, -5);
+          ("star", 1, 0);
+        ])
+
 let smoke_run ?(extra = []) t =
   payload t ([ ("op", T.Jstr "run"); ("id", T.Jstr "claim31"); ("smoke", T.Jbool true) ] @ extra)
 
@@ -766,6 +799,7 @@ let () =
           Alcotest.test_case "ping version" `Quick test_service_ping_version;
           Alcotest.test_case "list catalogue" `Quick test_service_list;
           Alcotest.test_case "error taxonomy" `Quick test_service_errors;
+          Alcotest.test_case "graph n bounds" `Quick test_simulate_graph_n_bounds;
           Alcotest.test_case "cache determinism" `Quick test_service_cache_determinism;
           Alcotest.test_case "seed precedence" `Quick test_service_seed_precedence;
           Alcotest.test_case "simulate = library bits" `Quick test_service_simulate_bits;
