@@ -43,22 +43,24 @@ trace-smoke: build
 # End-to-end smoke of the sketchproxy routing tier: 1 proxy + 2 backends,
 # simulate through the proxy, kill -9 the serving backend, failover must
 # be byte-identical and the cluster RPC must report the death; then
-# `bench cluster` writes BENCH_cluster.json (1000 samples per mix), as CI
-# runs it. See scripts/cluster_smoke.sh.
+# `bench cluster` writes _build/smoke/BENCH_cluster.json (1000 samples
+# per mix), as CI runs it. See scripts/cluster_smoke.sh.
 cluster-smoke: build
 	bash scripts/cluster_smoke.sh
 
 # End-to-end smoke of the multi-pass wing: round-frontier and
 # stream-matching at smoke sizes, `bench streams --fast` with a
-# validated BENCH_streams.json, and the multipass simulate protocols
+# validated _build/smoke/BENCH_streams.json, and the multipass simulate protocols
 # through sketchd + sketchproxy with byte-identical cached replay. See
 # scripts/streams_smoke.sh.
 streams-smoke: build
 	bash scripts/streams_smoke.sh
 
-# Allocation regression gate: regenerate BENCH_tables.json at --fast
-# with jobs=1, validate its schema (GC columns included), and fail if a
-# gated experiment's body allocation exceeds its committed ceiling. See
+# Allocation regression gate: write _build/smoke/BENCH_tables.json at
+# --fast with jobs=1, validate its schema (GC columns included), and fail
+# if a gated experiment's body allocation exceeds its committed ceiling.
+# The smoke targets never touch the committed BENCH_*.json files; see
+# PERFORMANCE.md §10 for the commands that regenerate those. See
 # scripts/alloc_smoke.sh and PERFORMANCE.md.
 alloc-smoke: build
 	bash scripts/alloc_smoke.sh

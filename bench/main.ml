@@ -179,15 +179,15 @@ let micro_tests () =
       (Staged.stage (fun () ->
            ignore (Rsgraph.Packed.achieved_t (Stdx.Prng.create 3) ~big_n:50 ~r:5 ~tries:500)));
     (* The freeze pipeline's sort kernel, head-to-head: the LSD radix sort
-       Cset uses for packed edge keys against the stdlib comparison sort it
+       Graph uses for packed edge keys against the stdlib comparison sort it
        replaced, on the same 200k-key workload (~ a 450-vertex gnp(0.5)
        freeze). The BENCH_tables.json `phases."graph.sort"` column shows
        the same win in situ. *)
-    Test.make ~name:"cset:radix-sort(200k keys)"
+    Test.make ~name:"graph:radix-sort(200k keys)"
       (Staged.stage
          (let keys = Array.init 200_000 (fun i -> (i * 2654435761) land 0x3FFFFFFF) in
-          fun () -> Cset.Columnar.radix_sort_nonneg (Array.copy keys)));
-    Test.make ~name:"cset:stdlib-sort(200k keys)"
+          fun () -> Dgraph.Columnar.radix_sort_nonneg (Array.copy keys)));
+    Test.make ~name:"graph:stdlib-sort(200k keys)"
       (Staged.stage
          (let keys = Array.init 200_000 (fun i -> (i * 2654435761) land 0x3FFFFFFF) in
           fun () ->

@@ -1,27 +1,22 @@
-(* Columnar graph core — the graph instance of the schema-driven
-   incidence store in [Cset] (DESIGN.md §8, §11).
+(* Columnar graph core (DESIGN.md §8).
 
-   The underlying [Cset.Store.t] has parts "vertex" / "edge" and fixed
-   morphism columns "src" / "dst"; an edge (u, v) with u < v packs into
+   A frozen graph is flat int columns: the normalized edge columns
+   [eu]/[ev] (eu.(i) < ev.(i), lexicographic order) and the merged CSR
+   neighbour store [row_start] (length n+1) indexing into [col] (length
+   2m), each row sorted ascending.
+
+   Construction funnels through [of_keys]: an edge (u, v) with u < v is
    the single int key u*n + v (safe while n < 2^31 on 64-bit OCaml
-   ints), so the store's packed sort+dedup freeze pipeline is exactly
-   the historical one — radix-sorted key array, adjacent dedup, flat
-   normalized edge columns [eu]/[ev] in lexicographic order (aliases of
-   the store's src/dst columns, never copies). On top of the store the
-   graph keeps its one derived index: the merged CSR neighbour store
-   [row_start] (length n+1) indexing into [col] (length 2m), each row
-   sorted ascending.
-
-   Construction funnels through [of_keys] (the store's [freeze_keys]
-   entry, under the same "graph.sort"/"graph.dedup"/"graph.csr-fill"
-   trace spans as ever); [Builder] is the mutable front end for
-   incremental assembly, and [of_sorted_csr] / [disjoint_union] adopt
-   already-CSR-shaped input without re-sorting. *)
+   ints); the keys are radix-sorted, adjacent duplicates collapse into
+   [eu]/[ev], and the CSR is filled from the columns, each phase under
+   its own "graph.sort"/"graph.dedup"/"graph.csr-fill" trace span.
+   [Builder] is the mutable front end for incremental assembly, and
+   [of_sorted_csr] / [disjoint_union] adopt already-CSR-shaped input
+   without re-sorting. *)
 
 type edge = int * int
 
 type t = {
-  c : Cset.Store.t;
   n : int;
   m : int;
   row_start : int array;
@@ -30,48 +25,44 @@ type t = {
   ev : int array;
 }
 
-let schema =
-  Cset.Schema.make ~parts:[ "vertex"; "edge" ]
-    ~morphisms:
-      [
-        Cset.Schema.fixed ~dom:"edge" ~cod:"vertex" "src";
-        Cset.Schema.fixed ~dom:"edge" ~cod:"vertex" "dst";
-      ]
-
-let edge_part = 1
-let src_m = 0
-let dst_m = 1
-let cset g = g.c
-
 let normalize_edge u v =
   if u = v then invalid_arg "Graph.normalize_edge: self-loop";
   if u < v then (u, v) else (v, u)
-
-(* Wrap a frozen edge store with the graph-specific derived index (the
-   merged neighbour CSR). [begin_]/[end_] is safe here: freezes happen
-   on exactly one logical task per domain. *)
-let of_store c =
-  let n = Cset.Store.count c 0 and m = Cset.Store.count c edge_part in
-  let eu = Cset.Store.fixed_column c src_m and ev = Cset.Store.fixed_column c dst_m in
-  Stdx.Trace.begin_ "graph.csr-fill";
-  let row_start, col = Cset.Columnar.neighbor_csr ~n ~eu ~ev in
-  Stdx.Trace.end_ ();
-  { c; n; m; row_start; col; eu; ev }
 
 (* Build from the first [len] entries of [keys] (destroyed by sorting);
    duplicates are collapsed. The three phases — sort, dedup into edge
    columns, CSR fill — each run inside a trace span nested under
    "graph.freeze", so a Perfetto view of any experiment shows where
-   graph-construction time goes. *)
+   graph-construction time goes. [begin_]/[end_] is safe here: freezes
+   happen on exactly one logical task per domain. *)
 let of_keys n keys len =
   Stdx.Trace.begin_ "graph.freeze";
-  let c =
-    Cset.Store.freeze_keys ~span_prefix:"graph" schema ~part:edge_part ~counts:[| n; 0 |] keys
-      len
-  in
-  let g = of_store c in
+  let keys = if len = Array.length keys then keys else Array.sub keys 0 len in
+  Stdx.Trace.begin_ "graph.sort";
+  Columnar.sort_keys keys;
   Stdx.Trace.end_ ();
-  g
+  Stdx.Trace.begin_ "graph.dedup";
+  let m = Columnar.count_distinct keys in
+  let eu = Array.make m 0 in
+  let ev = Array.make m 0 in
+  (* Adjacent dedup over the sorted keys, as [Columnar.count_distinct]
+     counts them; a plain loop, so a freeze allocates no closure. *)
+  let i = ref 0 and last = ref min_int in
+  for j = 0 to len - 1 do
+    let key = keys.(j) in
+    if key <> !last then begin
+      eu.(!i) <- key / n;
+      ev.(!i) <- key mod n;
+      incr i;
+      last := key
+    end
+  done;
+  Stdx.Trace.end_ ();
+  Stdx.Trace.begin_ "graph.csr-fill";
+  let row_start, col = Columnar.neighbor_csr ~n ~eu ~ev in
+  Stdx.Trace.end_ ();
+  Stdx.Trace.end_ ();
+  { n; m; row_start; col; eu; ev }
 
 module Builder = struct
   type graph = t
@@ -149,11 +140,7 @@ let of_sorted_csr ~n ~row_start ~col =
     done
   done;
   if !i <> m then invalid_arg "Graph.of_sorted_csr: not a symmetric simple adjacency";
-  let c =
-    Cset.Store.unsafe_of_columns schema ~counts:[| n; m |]
-      ~columns:[| Cset.Store.Fixed_col eu; Cset.Store.Fixed_col ev |]
-  in
-  { c; n; m; row_start; col; eu; ev }
+  { n; m; row_start; col; eu; ev }
 
 let empty n = create n []
 
@@ -291,11 +278,7 @@ let disjoint_union a b =
     eu.(a.m + i) <- b.eu.(i) + a.n;
     ev.(a.m + i) <- b.ev.(i) + a.n
   done;
-  let c =
-    Cset.Store.unsafe_of_columns schema ~counts:[| n; a.m + b.m |]
-      ~columns:[| Cset.Store.Fixed_col eu; Cset.Store.Fixed_col ev |]
-  in
-  { c; n; m = a.m + b.m; row_start; col; eu; ev }
+  { n; m = a.m + b.m; row_start; col; eu; ev }
 
 let equal a b = a.n = b.n && a.eu = b.eu && a.ev = b.ev
 

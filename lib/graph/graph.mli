@@ -2,11 +2,10 @@
 
     This is the substrate every layer above shares: the RS construction, the
     hard distribution, the sketching protocols and the referee all exchange
-    values of this type. The representation is columnar (DESIGN.md §8,
-    §11): the graph is the two-part, two-morphism instance of the
-    schema-driven incidence store in {!Cset} — flat normalized src/dst
-    edge columns in lexicographic order — topped with one derived index,
-    a frozen CSR neighbour store (rows sorted ascending). Both
+    values of this type. The representation is columnar (DESIGN.md §8):
+    flat normalized edge columns in lexicographic order plus a frozen
+    CSR neighbour store (rows sorted ascending), both filled by one
+    sort + dedup freeze over packed [u*n + v] edge keys. Both
     neighbourhood queries and whole-edge-set scans are cache-friendly,
     deterministic and allocation-free. Graphs are assembled either
     through the legacy list-taking {!create}, or — on hot paths —
@@ -140,11 +139,6 @@ val disjoint_union : t -> t -> t
 
 val equal : t -> t -> bool
 (** Same vertex count and same edge set. *)
-
-val cset : t -> Cset.Store.t
-(** The underlying frozen incidence store (parts ["vertex"]/["edge"],
-    fixed morphisms ["src"]/["dst"]); the edge columns are shared with
-    the graph, not copied. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer: vertex count plus the edge list. *)

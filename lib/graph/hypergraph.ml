@@ -1,18 +1,16 @@
-(* Hypergraphs on vertex set [0, n) — the second instance of the
-   schema-driven incidence store in [Cset] (DESIGN.md §11).
+(* Hypergraphs on vertex set [0, n) (DESIGN.md §8).
 
-   The schema has parts "vertex" / "edge" and a single variable-arity,
-   indexed morphism "pins" : edge -> vertex. A hyperedge is its sorted
-   set of distinct pins (arity >= 2); edges are deduplicated at freeze
-   by the store's lexicographic row pipeline, so edge ids enumerate the
-   distinct hyperedges in lexicographic pin order. Two frozen CSRs come
-   out: the pins segments (edge -> sorted vertices) and — because the
-   schema marks "pins" indexed — the incident-lookup index
-   (vertex -> incident edge ids, ascending). A graph is exactly the
-   2-uniform special case; [of_graph] embeds one. *)
+   A hyperedge is its sorted set of distinct pins (arity >= 2). The
+   builder appends each normalised hyperedge to a flat row buffer
+   ([data], with row starts in [offs]); [freeze] sorts the rows
+   lexicographically (shorter prefix first), drops adjacent duplicates,
+   and fills two frozen CSRs: the pins segments (edge -> sorted
+   vertices, [pin_row]/[pin_val]) and the incidence index (vertex ->
+   incident edge ids, ascending, [inc_row]/[inc_val]). Edge ids thus
+   enumerate the distinct hyperedges in lexicographic pin order. A graph
+   is exactly the 2-uniform special case; [of_graph] embeds one. *)
 
 type t = {
-  c : Cset.Store.t;
   n : int;
   m : int;
   pin_row : int array;  (* length m+1: edge e pins at pin_val.(pin_row.(e)..) *)
@@ -20,20 +18,6 @@ type t = {
   inc_row : int array;  (* length n+1: vertex v edges at inc_val.(inc_row.(v)..) *)
   inc_val : int array;
 }
-
-let schema =
-  Cset.Schema.make ~parts:[ "vertex"; "edge" ]
-    ~morphisms:[ Cset.Schema.variable ~indexed:true ~dom:"edge" ~cod:"vertex" "pins" ]
-
-let edge_part = 1
-let pins_m = 0
-let cset h = h.c
-
-let of_store c =
-  let n = Cset.Store.count c 0 and m = Cset.Store.count c edge_part in
-  let pin_row, pin_val = Cset.Store.segments c pins_m in
-  let inc_row, inc_val = Cset.Store.incidence c pins_m in
-  { c; n; m; pin_row; pin_val; inc_row; inc_val }
 
 (* Normalise one hyperedge in place of the caller's scratch: sort the
    pins, drop duplicates, reject arity < 2 (the self-loop analogue) and
@@ -59,24 +43,105 @@ let normalize_pins n pins =
 module Builder = struct
   type hypergraph = t
 
-  type t = { n : int; b : Cset.Store.Builder.t }
+  (* Row [i]'s pins are [data.(offs.(i)) .. data.(offs.(i+1)-1)], with
+     [dlen] standing in for the missing [offs.(rlen)]. *)
+  type t = {
+    n : int;
+    mutable data : int array;
+    mutable dlen : int;
+    mutable offs : int array;
+    mutable rlen : int;
+  }
 
   let create ?(capacity = 16) n =
     if n < 0 then invalid_arg "Hypergraph.Builder.create: negative n";
-    { n; b = Cset.Store.Builder.create ~capacity schema ~counts:[| n; 0 |] }
+    let capacity = max capacity 1 in
+    { n; data = Array.make (capacity * 4) 0; dlen = 0; offs = Array.make capacity 0; rlen = 0 }
 
   let n b = b.n
-  let length b = Cset.Store.Builder.length b.b ~part:edge_part
+  let length b = b.rlen
 
   let add_edge b pins =
-    Cset.Store.Builder.add_row b.b ~part:edge_part (normalize_pins b.n pins)
+    let pins = normalize_pins b.n pins in
+    let l = Array.length pins in
+    if b.rlen = Array.length b.offs then begin
+      let bigger = Array.make (2 * b.rlen) 0 in
+      Array.blit b.offs 0 bigger 0 b.rlen;
+      b.offs <- bigger
+    end;
+    b.offs.(b.rlen) <- b.dlen;
+    b.rlen <- b.rlen + 1;
+    if b.dlen + l > Array.length b.data then begin
+      let bigger = Array.make (max (2 * Array.length b.data) (b.dlen + l)) 0 in
+      Array.blit b.data 0 bigger 0 b.dlen;
+      b.data <- bigger
+    end;
+    Array.blit pins 0 b.data b.dlen l;
+    b.dlen <- b.dlen + l
 
+  (* Lexicographic sort of row indices, adjacent dedup into the pins
+     CSR, then the incidence fill — each phase under its own
+     "hypergraph.*" span nested in "hypergraph.freeze". *)
   let freeze b : hypergraph =
     Stdx.Trace.begin_ "hypergraph.freeze";
-    let c = Cset.Store.Builder.freeze ~span_prefix:"hypergraph" b.b in
-    let h = of_store c in
+    let n = b.n and data = b.data and rlen = b.rlen in
+    (* Seal the offsets array so offs.(rlen) is the data length. *)
+    let offs =
+      if rlen < Array.length b.offs then b.offs
+      else begin
+        let bigger = Array.make (rlen + 1) 0 in
+        Array.blit b.offs 0 bigger 0 rlen;
+        bigger
+      end
+    in
+    offs.(rlen) <- b.dlen;
+    let row_len i = offs.(i + 1) - offs.(i) in
+    let compare_rows a b =
+      let la = row_len a and lb = row_len b in
+      let oa = offs.(a) and ob = offs.(b) in
+      let rec go j =
+        if j >= la || j >= lb then compare la lb
+        else
+          let c = compare (data.(oa + j) : int) data.(ob + j) in
+          if c <> 0 then c else go (j + 1)
+      in
+      go 0
+    in
+    let order = Array.init rlen (fun i -> i) in
+    Stdx.Trace.begin_ "hypergraph.sort";
+    Array.sort compare_rows order;
     Stdx.Trace.end_ ();
-    h
+    Stdx.Trace.begin_ "hypergraph.dedup";
+    let keep = Array.make rlen false in
+    let m = ref 0 and total = ref 0 in
+    for i = 0 to rlen - 1 do
+      if i = 0 || compare_rows order.(i - 1) order.(i) <> 0 then begin
+        keep.(i) <- true;
+        incr m;
+        total := !total + row_len order.(i)
+      end
+    done;
+    let m = !m in
+    let pin_row = Array.make (m + 1) 0 in
+    let pin_val = Array.make !total 0 in
+    let e = ref 0 and out = ref 0 in
+    for i = 0 to rlen - 1 do
+      if keep.(i) then begin
+        let r = order.(i) in
+        Array.blit data offs.(r) pin_val !out (row_len r);
+        out := !out + row_len r;
+        incr e;
+        pin_row.(!e) <- !out
+      end
+    done;
+    Stdx.Trace.end_ ();
+    Stdx.Trace.begin_ "hypergraph.csr-fill";
+    let inc_row, inc_val =
+      Columnar.incidence_of_segments ~cod_count:n ~seg_row:pin_row ~seg_val:pin_val
+    in
+    Stdx.Trace.end_ ();
+    Stdx.Trace.end_ ();
+    { n; m; pin_row; pin_val; inc_row; inc_val }
 end
 
 let create n edge_list =
@@ -156,7 +221,7 @@ let iter_edges f h =
   done
 
 (* Compare hyperedge [e]'s pins to a normalised pin array, in the
-   store's row order (lexicographic, shorter-prefix-first). *)
+   frozen row order (lexicographic, shorter-prefix-first). *)
 let compare_pins h e pins =
   let ka = arity h e and kb = Array.length pins in
   let o = h.pin_row.(e) in
@@ -181,7 +246,7 @@ let find_edge h pins_raw =
 
 let mem_edge h pins = find_edge h pins <> None
 
-let equal a b = Cset.Store.equal a.c b.c
+let equal a b = a.n = b.n && a.pin_row = b.pin_row && a.pin_val = b.pin_val
 
 let pp ppf h =
   Format.fprintf ppf "@[<v>hypergraph n=%d m=%d@," h.n h.m;

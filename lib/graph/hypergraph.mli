@@ -1,13 +1,11 @@
-(** Hypergraphs on vertex set [\[0, n)] — the second instance of the
-    schema-driven incidence store in {!Cset} (DESIGN.md §11).
+(** Hypergraphs on vertex set [\[0, n)] (DESIGN.md §8).
 
     A hyperedge is a set of at least two distinct vertices (its {e pins});
     pins are stored sorted, hyperedges are deduplicated at freeze, and
     edge ids [0 .. m-1] enumerate the distinct hyperedges in lexicographic
     pin order. The frozen representation is two CSRs over flat int
     columns: the pins segments (edge → sorted vertex list) and the
-    incident-lookup index (vertex → ascending incident edge ids) that the
-    store builds because the schema marks the pins morphism [indexed].
+    incident-lookup index (vertex → ascending incident edge ids).
     An ordinary graph is exactly the 2-uniform special case —
     {!of_graph} embeds one. *)
 
@@ -17,8 +15,9 @@ type t
 (** Mutable hyperedge accumulator: [create] a builder, [add_edge] pin
     arrays in any order — duplicate edges, duplicate pins within an edge
     and unsorted pins are all fine — then [freeze] once. Freezing runs
-    the store's lexicographic sort + dedup pipeline under
-    [hypergraph.sort] / [.dedup] / [.csr-fill] trace spans. *)
+    a lexicographic row sort, an adjacent dedup and the incidence fill
+    under [hypergraph.sort] / [.dedup] / [.csr-fill] trace spans, nested
+    in [hypergraph.freeze]. *)
 module Builder : sig
   type hypergraph := t
 
@@ -122,11 +121,6 @@ val mem_edge : t -> int array -> bool
 
 val equal : t -> t -> bool
 (** Same vertex count and same hyperedge set. *)
-
-val cset : t -> Cset.Store.t
-(** The underlying frozen incidence store (parts ["vertex"]/["edge"],
-    variable indexed morphism ["pins"]); columns are shared, not
-    copied. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer: vertex count plus the pin sets. *)

@@ -59,6 +59,11 @@ let json_of_gspec = function
   | Hyperk { n; m; k } ->
       T.Jobj [ ("kind", T.Jstr "hyperk"); ("n", T.Jint n); ("m", T.Jint m); ("k", T.Jint k) ]
 
+(* The largest vertex count, and hyperedge count, a wire spec may ask
+   for. The repository's own requests stay at n <= 2500. *)
+let max_n = 4096
+let max_hyperk_m = 65536
+
 let gspec_of_json j =
   let int k = match T.member k j with Some (T.Jint i) -> Some i | _ -> None in
   let num k =
@@ -68,23 +73,31 @@ let gspec_of_json j =
     | _ -> None
   in
   (* The least [n] each generator accepts; below it the spec is a 400
-     naming the bound, never a generator's [Invalid_argument]. *)
-  let at_least kind lo n =
-    if n >= lo then Ok n else Error (Printf.sprintf "graph kind %S needs \"n\" >= %d" kind lo)
+     naming the bound, never a generator's [Invalid_argument]. Above
+     [max_n] (or [max_hyperk_m] hyperedges) it is a 400 too: one spec
+     must not make the daemon build a graph that exhausts its memory. *)
+  let at_most kind field hi v =
+    if v <= hi then Ok v else Error (Printf.sprintf "graph kind %S needs %S <= %d" kind field hi)
+  in
+  let sized kind lo n =
+    if n >= lo then at_most kind "n" max_n n
+    else Error (Printf.sprintf "graph kind %S needs \"n\" >= %d" kind lo)
   in
   match (T.member "kind" j, int "n") with
   | Some (T.Jstr "gnp"), Some n ->
-      Result.bind (at_least "gnp" 0 n) (fun n ->
+      Result.bind (sized "gnp" 0 n) (fun n ->
           match num "p" with
           | Some p when p >= 0. && p <= 1. -> Ok (Gnp { n; p })
           | _ -> Error "gnp needs a probability field \"p\" in [0,1]")
-  | Some (T.Jstr "path"), Some n -> Result.map (fun n -> Path n) (at_least "path" 0 n)
-  | Some (T.Jstr "cycle"), Some n -> Result.map (fun n -> Cycle n) (at_least "cycle" 3 n)
-  | Some (T.Jstr "complete"), Some n -> Result.map (fun n -> Complete n) (at_least "complete" 0 n)
-  | Some (T.Jstr "star"), Some n -> Result.map (fun n -> Star n) (at_least "star" 1 n)
+  | Some (T.Jstr "path"), Some n -> Result.map (fun n -> Path n) (sized "path" 0 n)
+  | Some (T.Jstr "cycle"), Some n -> Result.map (fun n -> Cycle n) (sized "cycle" 3 n)
+  | Some (T.Jstr "complete"), Some n -> Result.map (fun n -> Complete n) (sized "complete" 0 n)
+  | Some (T.Jstr "star"), Some n -> Result.map (fun n -> Star n) (sized "star" 1 n)
   | Some (T.Jstr "hyperk"), Some n -> (
       match (int "m", int "k") with
-      | Some m, Some k when n >= 0 && m >= 0 && k >= 2 && k <= n -> Ok (Hyperk { n; m; k })
+      | Some m, Some k when n >= 0 && m >= 0 && k >= 2 && k <= n ->
+          Result.bind (at_most "hyperk" "n" max_n n) (fun n ->
+              Result.map (fun m -> Hyperk { n; m; k }) (at_most "hyperk" "m" max_hyperk_m m))
       | Some _, Some _ -> Error "hyperk needs 2 <= k <= n and m >= 0"
       | _ -> Error "hyperk needs integer fields \"m\" and \"k\"")
   | Some (T.Jstr k), None -> Error (Printf.sprintf "graph kind %S needs an integer field \"n\"" k)

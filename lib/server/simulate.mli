@@ -53,8 +53,10 @@ val json_of_gspec : gspec -> T.json
 val gspec_of_json : T.json -> (gspec, string) result
 (** Parse a wire graph spec; [Error] carries a human-readable reason.
     Every [Ok] spec builds: [n] must be at least 0 for [gnp], [path] and
-    [complete], 3 for [cycle] and 1 for [star], else the reason names
-    ["n"] and its bound. *)
+    [complete], 3 for [cycle] and 1 for [star], and at most 4096 for
+    every kind ([hyperk] included), else the reason names ["n"] and its
+    bound. A [hyperk] spec also needs [m <= 65536] (the reason names
+    ["m"]). *)
 
 val protocols : (string * string) list
 (** [(name, doc)] for every runnable protocol: [trivial-mm], [trivial-mis],

@@ -2,7 +2,8 @@
 # Allocation regression gate for the hot experiment loops (PERFORMANCE.md §7).
 #
 # Regenerates BENCH_tables.json at --fast with jobs=1 (the GC counters
-# are domain-local, so only jobs=1 measures the whole table), validates
+# are domain-local, so only jobs=1 measures the whole table) in
+# _build/smoke/, not over the committed copy at the repo root, validates
 # the schema with `jsoncheck --tables`, and fails if any gated
 # experiment's body allocation exceeds its committed ceiling.
 #
@@ -24,16 +25,25 @@ JSONCHECK=${JSONCHECK:-./_build/default/bin/jsoncheck.exe}
 
 fail() { echo "alloc-smoke: FAIL: $*" >&2; exit 1; }
 
-"$BENCH" tables --fast -j 1 > /dev/null || fail "bench tables run failed"
-[ -s BENCH_tables.json ] || fail "BENCH_tables.json missing or empty"
-"$JSONCHECK" --tables BENCH_tables.json || fail "BENCH_tables.json failed schema validation"
+# bench writes its BENCH_*.json into its working directory. It runs in
+# _build/smoke/ (absolute binary paths), so the committed files at the
+# repo root stay untouched; the checks read the files written there.
+abs() { case "$1" in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
+BENCH=$(abs "$BENCH")
+out=$PWD/_build/smoke
+mkdir -p "$out"
+rm -f "$out/BENCH_tables.json"
+
+(cd "$out" && "$BENCH" tables --fast -j 1 > /dev/null) || fail "bench tables run failed"
+[ -s "$out/BENCH_tables.json" ] || fail "BENCH_tables.json missing or empty"
+"$JSONCHECK" --tables "$out/BENCH_tables.json" || fail "BENCH_tables.json failed schema validation"
 
 # id -> ceiling in bytes (committed; see header comment before raising).
 gate() { # id ceiling_bytes
   local id="$1" ceiling="$2"
   # Each line is one flat JSON object; alloc_bytes is a bare integer.
   local line bytes
-  line=$(grep -F "\"id\":\"$id\"" BENCH_tables.json) || fail "no line for id $id"
+  line=$(grep -F "\"id\":\"$id\"" "$out/BENCH_tables.json") || fail "no line for id $id"
   bytes=$(printf '%s' "$line" | sed -n 's/.*"alloc_bytes":\([0-9]*\).*/\1/p')
   [ -n "$bytes" ] || fail "no alloc_bytes field on the $id line"
   if [ "$bytes" -gt "$ceiling" ]; then

@@ -5,7 +5,8 @@
 # it, re-run and require the failover response to be byte-for-byte the
 # same, check the `cluster` RPC reports the death, then drain everything
 # cleanly. Finally `bench cluster` (1 proxy + 4 in-process backends)
-# records the latency mixes in BENCH_cluster.json, which must parse and
+# records the latency mixes in BENCH_cluster.json (written to
+# _build/smoke/, not over the committed copy), which must parse and
 # carry 1000 samples for each of the four mixes.
 #
 # Run from the repo root after a build (`make cluster-smoke` does both).
@@ -33,6 +34,14 @@ cleanup() {
 trap cleanup EXIT
 
 fail() { echo "cluster-smoke: FAIL: $*" >&2; exit 1; }
+
+# bench writes its BENCH_*.json into its working directory. It runs in
+# _build/smoke/ (absolute binary paths), so the committed files at the
+# repo root stay untouched; the checks read the files written there.
+abs() { case "$1" in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
+BENCH=$(abs "$BENCH")
+out=$PWD/_build/smoke
+mkdir -p "$out"
 
 wait_port() { # file pid what
   for _ in $(seq 1 100); do
@@ -121,13 +130,14 @@ b2_pid=
 
 # 8. Latency through the routing tier: every line of BENCH_cluster.json
 #    is one mix of 1000 samples, and all four mixes are there.
-"$BENCH" cluster --fast >"$tmp/bench_cluster.out"
-"$JSONCHECK" BENCH_cluster.json || fail "BENCH_cluster.json is not valid JSON-lines"
-if grep -v '"n":1000,' BENCH_cluster.json | grep -q .; then
-  fail "BENCH_cluster.json has a line without n=1000: $(cat BENCH_cluster.json)"
+rm -f "$out/BENCH_cluster.json"
+(cd "$out" && "$BENCH" cluster --fast) >"$tmp/bench_cluster.out"
+"$JSONCHECK" "$out/BENCH_cluster.json" || fail "BENCH_cluster.json is not valid JSON-lines"
+if grep -v '"n":1000,' "$out/BENCH_cluster.json" | grep -q .; then
+  fail "BENCH_cluster.json has a line without n=1000: $(cat "$out/BENCH_cluster.json")"
 fi
 for mix in ping run-uncached run-cached simulate-cached; do
-  grep -q "\"mix\":\"$mix\"" BENCH_cluster.json || fail "BENCH_cluster.json has no $mix line"
+  grep -q "\"mix\":\"$mix\"" "$out/BENCH_cluster.json" || fail "BENCH_cluster.json has no $mix line"
 done
 
 echo "cluster-smoke: OK (byte-identical failover, health reported, clean drain, latency bench)"

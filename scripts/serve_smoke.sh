@@ -9,7 +9,7 @@
 # five thousand idle connections on the epoll loop (ulimit raised first,
 # clamped to the hard limit) while the latency mixes run, sheds the
 # over-cap extras with 503 frames, and the resulting BENCH_serve.json
-# must parse.
+# (written to _build/smoke/, not over the committed copy) must parse.
 #
 # Run from the repo root after a build (`make serve-smoke` does both).
 set -euo pipefail
@@ -31,6 +31,15 @@ cleanup() {
 trap cleanup EXIT
 
 fail() { echo "serve-smoke: FAIL: $*" >&2; exit 1; }
+
+# bench writes its BENCH_*.json into its working directory. It runs in
+# _build/smoke/ (absolute binary paths), so the committed files at the
+# repo root stay untouched; the checks read the files written there.
+abs() { case "$1" in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
+BENCH=$(abs "$BENCH")
+out=$PWD/_build/smoke
+mkdir -p "$out"
+rm -f "$out/BENCH_serve.json"
 
 "$SKETCHD" --port-file "$tmp/port" -q >"$tmp/daemon.out" &
 daemon_pid=$!
@@ -101,15 +110,15 @@ fi
 # The bench must refuse a malformed or negative number with the usage
 # line and exit 2 (0 is valid: no herd).
 for bad in 5k -5; do
-  rc=0; "$BENCH" serve --connections "$bad" >/dev/null 2>&1 || rc=$?
+  rc=0; (cd "$out" && "$BENCH" serve --connections "$bad") >/dev/null 2>&1 || rc=$?
   [ "$rc" = 2 ] || fail "bench accepted --connections $bad (exit $rc, want 2)"
 done
-"$BENCH" serve --fast --connections "$conns" >"$tmp/bench_serve.out"
+(cd "$out" && "$BENCH" serve --fast --connections "$conns") >"$tmp/bench_serve.out"
 grep -q "target=$conns" "$tmp/bench_serve.out" || fail "connection herd did not run: $(cat "$tmp/bench_serve.out")"
 grep -q 'shed=8 (saw 8/8 conn-limit frames)' "$tmp/bench_serve.out" \
   || fail "over-cap connects were not shed with 503 frames: $(cat "$tmp/bench_serve.out")"
-[ -s BENCH_serve.json ] || fail "bench serve wrote no BENCH_serve.json"
-"$JSONCHECK" BENCH_serve.json || fail "BENCH_serve.json is not valid JSON-lines"
-grep -q '"mix":"connections"' BENCH_serve.json || fail "BENCH_serve.json has no connections line"
+[ -s "$out/BENCH_serve.json" ] || fail "bench serve wrote no BENCH_serve.json"
+"$JSONCHECK" "$out/BENCH_serve.json" || fail "BENCH_serve.json is not valid JSON-lines"
+grep -q '"mix":"connections"' "$out/BENCH_serve.json" || fail "BENCH_serve.json has no connections line"
 
 echo "serve-smoke: OK (byte-identical cached replay, cache RPC, clean shutdown, ${conns}-connection herd)"

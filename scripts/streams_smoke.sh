@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the multi-pass protocol wing: both frontier
 # experiments at smoke sizes through the JSON renderer, the streams
-# bench (BENCH_streams.json must parse and carry both families), and
+# bench (BENCH_streams.json, written to _build/smoke/ rather than over
+# the committed copy, must parse and carry both families), and
 # the new simulate protocols served through sketchd and sketchproxy
 # with byte-identical cache-hit replay.
 #
@@ -31,6 +32,14 @@ trap cleanup EXIT
 
 fail() { echo "streams-smoke: FAIL: $*" >&2; exit 1; }
 
+# bench writes its BENCH_*.json into its working directory. It runs in
+# _build/smoke/ (absolute binary paths), so the committed files at the
+# repo root stay untouched; the checks read the files written there.
+abs() { case "$1" in /*) echo "$1" ;; *) echo "$PWD/$1" ;; esac; }
+BENCH=$(abs "$BENCH")
+out=$PWD/_build/smoke
+mkdir -p "$out"
+
 wait_port() { # file pid what
   for _ in $(seq 1 100); do
     [ -s "$1" ] && return 0
@@ -50,13 +59,14 @@ echo "streams-smoke: experiments OK"
 
 # 2. The streams bench: BENCH_streams.json must parse and carry a
 #    per-round rounds family and a per-pass passes family.
-"$BENCH" streams --fast >"$tmp/bench.out" || fail "bench streams failed: $(cat "$tmp/bench.out")"
-[ -s BENCH_streams.json ] || fail "bench streams wrote no BENCH_streams.json"
-"$JSONCHECK" BENCH_streams.json || fail "BENCH_streams.json is not valid JSON-lines"
-grep -q '"bench":"rounds"' BENCH_streams.json || fail "no rounds family in BENCH_streams.json"
-grep -q '"bench":"passes"' BENCH_streams.json || fail "no passes family in BENCH_streams.json"
-grep -q '"round_max":\[' BENCH_streams.json || fail "rounds family lacks per-round curves"
-grep -q '"pass_memory_bits":\[' BENCH_streams.json || fail "passes family lacks per-pass memory"
+rm -f "$out/BENCH_streams.json"
+(cd "$out" && "$BENCH" streams --fast) >"$tmp/bench.out" || fail "bench streams failed: $(cat "$tmp/bench.out")"
+[ -s "$out/BENCH_streams.json" ] || fail "bench streams wrote no BENCH_streams.json"
+"$JSONCHECK" "$out/BENCH_streams.json" || fail "BENCH_streams.json is not valid JSON-lines"
+grep -q '"bench":"rounds"' "$out/BENCH_streams.json" || fail "no rounds family in BENCH_streams.json"
+grep -q '"bench":"passes"' "$out/BENCH_streams.json" || fail "no passes family in BENCH_streams.json"
+grep -q '"round_max":\[' "$out/BENCH_streams.json" || fail "rounds family lacks per-round curves"
+grep -q '"pass_memory_bits":\[' "$out/BENCH_streams.json" || fail "passes family lacks per-pass memory"
 echo "streams-smoke: bench OK"
 
 # 3. The multipass protocols through sketchd: run each once, replay it,

@@ -1,6 +1,8 @@
-(* Tests for Dgraph.Graph and Dgraph.Gen. *)
+(* Tests for Dgraph.Graph, Dgraph.Gen and the Dgraph.Columnar freeze
+   primitives. *)
 
 module G = Dgraph.Graph
+module C = Dgraph.Columnar
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -223,6 +225,45 @@ let test_neighbor_iterators () =
   checkb "exists miss" false (G.exists_neighbor (fun u -> u = 4) g 2);
   checkb "exists empty row" false (G.exists_neighbor (fun _ -> true) g 1)
 
+(* --- Columnar primitives --- *)
+
+let test_sort_keys_small_and_large () =
+  let rng = Stdx.Prng.create 17 in
+  List.iter
+    (fun len ->
+      let a = Array.init len (fun _ -> Stdx.Prng.int rng 1_000_000) in
+      let b = Array.copy a in
+      C.sort_keys a;
+      Array.sort compare b;
+      Alcotest.(check (array int)) (Printf.sprintf "len %d" len) b a)
+    [ 0; 1; 7; 511; 512; 513; 5000 ]
+
+let test_radix_matches_array_sort () =
+  let rng = Stdx.Prng.create 19 in
+  for _ = 1 to 10 do
+    (* Mixed magnitudes force differing radix pass counts. *)
+    let len = 512 + Stdx.Prng.int rng 2000 in
+    let bits = 1 + Stdx.Prng.int rng 50 in
+    let a = Array.init len (fun _ -> Stdx.Prng.int rng (1 lsl bits)) in
+    let b = Array.copy a in
+    C.radix_sort_nonneg a;
+    Array.sort compare b;
+    Alcotest.(check (array int)) "radix == Array.sort" b a
+  done
+
+let test_distinct_helpers () =
+  let a = [| 0; 0; 1; 3; 3; 3; 9 |] in
+  checki "count_distinct" 4 (C.count_distinct a);
+  checki "empty" 0 (C.count_distinct [||])
+
+let test_neighbor_csr () =
+  (* Normalised, lexicographically sorted edge columns of a 5-path plus
+     a chord. *)
+  let eu = [| 0; 0; 1; 2; 3 |] and ev = [| 1; 2; 2; 3; 4 |] in
+  let row, col = C.neighbor_csr ~n:5 ~eu ~ev in
+  Alcotest.(check (array int)) "row_start" [| 0; 2; 4; 7; 9; 10 |] row;
+  Alcotest.(check (array int)) "cols" [| 1; 2; 0; 2; 0; 1; 3; 2; 4; 3 |] col
+
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -284,30 +325,14 @@ let qcheck_tests =
              if G.exists_neighbor (fun u -> not (Array.mem u row)) g v then ok := false
            done;
            !ok));
-    (* The graph IS a cset instance: the underlying store's columns must
-       be exactly the normalised edge list, and every construction path
-       must land on the same frozen store (same schema, counts, columns). *)
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"cset store mirrors edges_array" ~count:300 small_graph_gen
-         (fun (n, edges) ->
-           let g = G.create n edges in
-           let c = G.cset g in
-           let module S = Cset.Store in
-           let schema = S.schema c in
-           let edge_part = Cset.Schema.part_index schema "edge" in
-           let src = S.fixed_column c (Cset.Schema.morphism_index schema "src") in
-           let dst = S.fixed_column c (Cset.Schema.morphism_index schema "dst") in
-           S.count c (Cset.Schema.part_index schema "vertex") = n
-           && S.count c edge_part = G.m g
-           && Array.to_list (G.edges_array g)
-              = List.init (G.m g) (fun i -> (src.(i), dst.(i)))));
+    (* Every construction path must land on the same frozen graph. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"all build paths share one frozen store" ~count:200 small_graph_gen
          (fun (n, edges) ->
            let g = G.create n edges in
            let b = G.Builder.create n in
            List.iter (fun (u, v) -> G.Builder.add_edge b u v) edges;
-           Cset.Store.equal (G.cset g) (G.cset (G.Builder.freeze b))));
+           G.equal g (G.Builder.freeze b)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"disjoint_union fast path equals create" ~count:200
          QCheck.(pair small_graph_gen small_graph_gen)
@@ -357,6 +382,13 @@ let () =
           Alcotest.test_case "configuration model" `Quick test_gen_configuration_model;
           Alcotest.test_case "power law" `Quick test_gen_power_law;
           Alcotest.test_case "bridge" `Quick test_gen_bridge;
+        ] );
+      ( "columnar",
+        [
+          Alcotest.test_case "sort_keys all sizes" `Quick test_sort_keys_small_and_large;
+          Alcotest.test_case "radix == Array.sort" `Quick test_radix_matches_array_sort;
+          Alcotest.test_case "distinct helpers" `Quick test_distinct_helpers;
+          Alcotest.test_case "neighbor csr" `Quick test_neighbor_csr;
         ] );
       ("graph-properties", qcheck_tests);
     ]

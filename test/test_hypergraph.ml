@@ -1,5 +1,6 @@
-(* Tests for Dgraph.Hypergraph (the second cset instance), Hgen,
-   Hmatching and Hmis. *)
+(* Tests for Dgraph.Hypergraph (its builder's sort + dedup + incidence
+   freeze, checked against a list model, and the stored pins segments and
+   incidence index), Hgen, Hmatching and Hmis. *)
 
 module H = Dgraph.Hypergraph
 module G = Dgraph.Graph
@@ -95,6 +96,90 @@ let test_builder () =
   checki "length pre-dedup" 3 (H.Builder.length b);
   let h = H.Builder.freeze b in
   checkb "equals create" true (H.equal h (H.create 5 [ [ 1; 2 ]; [ 0; 3; 4 ] ]))
+
+(* --- The stored columns: pins segments and the incidence index --- *)
+
+(* Duplicate rows collapse and the segments come out in lexicographic
+   order with a shorter prefix first, read back through [arity] and
+   [pin] (the segment row in place), not through the owned [pins] copy. *)
+let test_store_variable_pipeline () =
+  let b = H.Builder.create 5 in
+  List.iter
+    (fun pins -> H.Builder.add_edge b (Array.of_list pins))
+    [ [ 1; 2; 4 ]; [ 0; 3 ]; [ 1; 2 ]; [ 4; 2; 1 ]; [ 0; 1 ] ];
+  let h = H.Builder.freeze b in
+  checki "dedup count" 4 (H.m h);
+  let seg e = List.init (H.arity h e) (H.pin h e) in
+  Alcotest.(check (list (list int)))
+    "lex order, shorter prefix first"
+    [ [ 0; 1 ]; [ 0; 3 ]; [ 1; 2 ]; [ 1; 2; 4 ] ]
+    (List.init (H.m h) seg)
+
+(* The incidence index is the transpose of the pins segments: [e] is in
+   [incident v] exactly when [v] is a pin of [e], ascending, with
+   [degree v] entries. *)
+let test_store_incidence_segments () =
+  let rng = Stdx.Prng.create 13 in
+  for _ = 1 to 20 do
+    let n = 2 + Stdx.Prng.int rng 8 in
+    let rows =
+      List.filter
+        (fun pins -> List.length pins >= 2)
+        (List.init (Stdx.Prng.int rng 15) (fun _ ->
+             List.filter (fun _ -> Stdx.Prng.int rng 3 = 0) (List.init n Fun.id)))
+    in
+    let h = H.create n rows in
+    for v = 0 to n - 1 do
+      let inc = H.incident h v in
+      checki "degree = incident length" (Array.length inc) (H.degree h v);
+      for j = 1 to Array.length inc - 1 do
+        checkb "incident ascending" true (inc.(j - 1) < inc.(j))
+      done;
+      for e = 0 to H.m h - 1 do
+        checkb "segment incidence"
+          (H.exists_pin (fun p -> p = v) h e)
+          (Array.mem e inc)
+      done
+    done
+  done
+
+(* --- Freeze against a list model --- *)
+
+(* Random pin multisets over n in [2, 12]: unsorted, with repeated pins,
+   and with some hyperedges added twice (in another pin order). A
+   multiset with fewer than two distinct pins is dropped, since the
+   builder rejects it. *)
+let pin_multisets_gen =
+  QCheck.make
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d edges=[%s]" n
+        (String.concat "; "
+           (List.map (fun pins -> String.concat "," (List.map string_of_int pins)) edges)))
+    QCheck.Gen.(
+      int_range 2 12 >>= fun n ->
+      list_size (int_range 0 25) (list_size (int_range 2 6) (int_range 0 (n - 1)))
+      >>= fun raw ->
+      let raw = List.filter (fun pins -> List.length (List.sort_uniq compare pins) >= 2) raw in
+      (match raw with [] -> return [] | _ -> list_size (int_range 0 5) (oneofl raw))
+      >>= fun again -> return (n, raw @ List.map List.rev again))
+
+(* The model: edges are the sorted-unique normalised pin lists (OCaml's
+   list order is lexicographic with a shorter prefix first), and
+   [incident v] is the ascending ids of the edges that contain [v]. *)
+let freeze_matches_model (n, edges) =
+  let b = H.Builder.create n in
+  List.iter (fun pins -> H.Builder.add_edge b (Array.of_list pins)) edges;
+  let added = H.Builder.length b in
+  let h = H.Builder.freeze b in
+  let model = List.sort_uniq compare (List.map (List.sort_uniq compare) edges) in
+  let incident v = List.concat (List.mapi (fun e pins -> if List.mem v pins then [ e ] else []) model) in
+  added = List.length edges
+  && H.n h = n
+  && H.m h = List.length model
+  && List.init (H.m h) (fun e -> Array.to_list (H.pins h e)) = model
+  && List.for_all
+       (fun v -> Array.to_list (H.incident h v) = incident v && H.degree h v = List.length (incident v))
+       (List.init n Fun.id)
 
 (* --- Generators --- *)
 
@@ -229,6 +314,17 @@ let () =
           Alcotest.test_case "pins owned copy" `Quick test_pins_owned_copy;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "builder" `Quick test_builder;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "variable pipeline" `Quick test_store_variable_pipeline;
+          Alcotest.test_case "incidence of segments" `Quick test_store_incidence_segments;
+        ] );
+      ( "hypergraph-properties",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"freeze equals the list model" ~count:300 pin_multisets_gen
+               freeze_matches_model);
         ] );
       ( "generators",
         [

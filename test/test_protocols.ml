@@ -169,6 +169,26 @@ let qcheck_tests =
            let g = random_graph seed n 0.2 in
            let s, _ = Protocols.Two_round_mis.run g (PC.create (seed + 2)) in
            Dgraph.Mis.is_maximal g s));
+    (* Exact oracle: the referee runs greedy over the sqrt(n) prefix of
+       the shared "mis-prefix-permutation" in pi order, then completes
+       the residual graph in ascending id order. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"two-round MIS = greedy over pi prefix then ascending ids"
+         ~count:200
+         QCheck.(
+           triple (int_range 0 119) (oneofl [ 0.02; 0.05; 0.1; 0.25; 0.5; 0.9 ]) (int_range 0 10000))
+         (fun (n, p, seed) ->
+           let g = random_graph seed n p in
+           let coins = PC.create (seed + 5) in
+           let pi = Stdx.Prng.permutation (PC.global coins "mis-prefix-permutation") n in
+           let k = min n (max 1 (int_of_float (ceil (sqrt (float_of_int n))))) in
+           let prefix = Array.sub pi 0 k in
+           let in_prefix = Array.make n false in
+           Array.iter (fun v -> in_prefix.(v) <- true) prefix;
+           let rest = List.filter (fun v -> not in_prefix.(v)) (List.init n Fun.id) in
+           let order = Array.append prefix (Array.of_list rest) in
+           let mis, _ = Protocols.Two_round_mis.run g coins in
+           List.sort compare mis = List.sort compare (Dgraph.Mis.greedy g ~order ())));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"sampled budget never exceeded" ~count:60
          QCheck.(triple (int_range 2 40) (int_range 0 500) (int_range 0 200))

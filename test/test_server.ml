@@ -281,6 +281,47 @@ let test_simulate_graph_n_bounds () =
           ("cycle", 3, 2);
           ("cycle", 3, -5);
           ("star", 1, 0);
+        ];
+      (* The upper bounds: the bound itself parses (it is not run — a
+         complete graph on 4096 vertices has ~8.4M edges), one past it is
+         a 400 naming the field and the bound. *)
+      let spec kind ~n ~m =
+        let fields =
+          match kind with
+          | "gnp" -> [ ("p", T.Jfloat 0.5) ]
+          | "hyperk" -> [ ("m", T.Jint m); ("k", T.Jint 3) ]
+          | _ -> []
+        in
+        T.Jobj ([ ("kind", T.Jstr kind); ("n", T.Jint n) ] @ fields)
+      in
+      List.iter
+        (fun (kind, field, (n, m), (bad_n, bad_m), bound) ->
+          let name = Printf.sprintf "%s %s=%d" kind field (bound + 1) in
+          checkb
+            (Printf.sprintf "%s %s=%d parses" kind field bound)
+            true
+            (Result.is_ok (Server.Simulate.gspec_of_json (spec kind ~n ~m)));
+          let protocol = if kind = "hyperk" then "hyper-trivial-mm" else "trivial-mm" in
+          let j =
+            json t
+              [
+                ("op", T.Jstr "simulate");
+                ("protocol", T.Jstr protocol);
+                ("graph", spec kind ~n:bad_n ~m:bad_m);
+              ]
+          in
+          checki (name ^ " code") 400 (code_of j);
+          checks (name ^ " tag") "bad-request" (error_tag j);
+          let msg = match T.member "msg" j with Some (T.Jstr m) -> m | _ -> "" in
+          checks (name ^ " msg") (Printf.sprintf "graph kind %S needs %S <= %d" kind field bound) msg)
+        [
+          ("gnp", "n", (4096, 0), (4097, 0), 4096);
+          ("path", "n", (4096, 0), (4097, 0), 4096);
+          ("cycle", "n", (4096, 0), (4097, 0), 4096);
+          ("complete", "n", (4096, 0), (4097, 0), 4096);
+          ("star", "n", (4096, 0), (4097, 0), 4096);
+          ("hyperk", "n", (4096, 10), (4097, 10), 4096);
+          ("hyperk", "m", (10, 65536), (10, 65537), 65536);
         ])
 
 let smoke_run ?(extra = []) t =

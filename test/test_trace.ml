@@ -1,7 +1,8 @@
 (* Stdx.Trace + Report.Trace_export: span pairing across domains, the
    zero-allocation disabled fast path, exporter round-trips through
    Tabular's JSON parser, a golden snapshot of the trace_event schema,
-   the [protocol.round] spans of multi-round runs, and the inertness
+   the graph and hypergraph freeze spans, the [protocol.round] spans of
+   multi-round runs, and the inertness
    regression — golden table output is byte-identical with tracing
    enabled. *)
 
@@ -301,6 +302,50 @@ let test_phase_totals () =
     windowed
 
 (* --------------------------------------------------------------- *)
+(* Freeze spans: perfbench's span.graph.* metrics read these names     *)
+
+(* A freeze emits one [<prefix>.freeze] span holding its
+   [<prefix>.sort], [<prefix>.dedup] and [<prefix>.csr-fill] phases, in
+   that order. *)
+let check_freeze_spans prefix freeze =
+  fresh ();
+  Tr.enable ();
+  freeze ();
+  Tr.disable ();
+  let evs = Tr.dump () in
+  Tr.reset ();
+  let one name =
+    match events_named name evs with
+    | [ e ] -> e
+    | l -> Alcotest.failf "%s: %d spans, want 1" name (List.length l)
+  in
+  let outer = one (prefix ^ ".freeze") in
+  let phases = List.map (fun p -> one (prefix ^ "." ^ p)) [ "sort"; "dedup"; "csr-fill" ] in
+  List.iter
+    (fun (e : Tr.event) ->
+      Alcotest.(check bool)
+        (e.Tr.name ^ " inside " ^ outer.Tr.name)
+        true
+        (e.Tr.ts_us >= outer.Tr.ts_us
+        && e.Tr.ts_us +. e.Tr.dur_us <= outer.Tr.ts_us +. outer.Tr.dur_us +. 1e-6))
+    phases;
+  Alcotest.(check bool)
+    (prefix ^ ": sort, dedup, csr-fill in order")
+    true
+    (List.map (fun (e : Tr.event) -> e.Tr.ts_us) phases
+    = List.sort compare (List.map (fun (e : Tr.event) -> e.Tr.ts_us) phases))
+
+let test_freeze_spans () =
+  check_freeze_spans "graph" (fun () ->
+      ignore (Dgraph.Graph.of_edge_array 5 [| (3, 1); (0, 2); (1, 3); (2, 4) |]));
+  check_freeze_spans "hypergraph" (fun () ->
+      let b = Dgraph.Hypergraph.Builder.create 5 in
+      Dgraph.Hypergraph.Builder.add_edge b [| 4; 0; 2 |];
+      Dgraph.Hypergraph.Builder.add_edge b [| 1; 3 |];
+      Dgraph.Hypergraph.Builder.add_edge b [| 2; 0; 4 |];
+      ignore (Dgraph.Hypergraph.Builder.freeze b))
+
+(* --------------------------------------------------------------- *)
 (* Round spans: one per round, numbered from 1, on every engine run *)
 
 (* A served run of each multi-round family emits exactly [stats.rounds]
@@ -389,6 +434,8 @@ let () =
           Alcotest.test_case "golden trace_event schema" `Quick test_golden_schema;
           Alcotest.test_case "phase_totals sums and windows" `Quick test_phase_totals;
         ] );
+      ( "freeze",
+        [ Alcotest.test_case "graph and hypergraph freeze spans" `Quick test_freeze_spans ] );
       ( "rounds",
         [ Alcotest.test_case "protocol.round spans numbered 1..rounds" `Quick
             test_protocol_round_spans ] );
