@@ -1,4 +1,4 @@
-.PHONY: all build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke doc check bench bench-release clean
+.PHONY: all build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke reach-smoke doc check bench bench-release clean
 
 all: build
 
@@ -65,12 +65,19 @@ streams-smoke: build
 alloc-smoke: build
 	bash scripts/alloc_smoke.sh
 
+# Every lib/*/*.ml module must be linked into some built executable
+# (bin/, bench/, perfbench/main, examples/): `nm` lists the linked
+# units, and the script names each module none of them links. See
+# scripts/reach_smoke.sh.
+reach-smoke: build
+	bash scripts/reach_smoke.sh
+
 # The odoc API site (every lib/ module with its interface docs), rendered
 # to _build/default/_doc/_html. Needs odoc on the switch.
 doc:
 	dune build @doc
 
-check: build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke
+check: build test examples smoke smoke-json serve-smoke trace-smoke cluster-smoke streams-smoke alloc-smoke reach-smoke
 
 # Regenerates every table and writes BENCH_tables.json (one JSON line per
 # table: id, title, wall-clock, body-only alloc_bytes and GC collection

@@ -377,13 +377,13 @@ let streams_bench ?(fast = false) () =
   let round_runs =
     List.map
       (fun r ->
-        (Printf.sprintf "prefix-mis-r%d" r, fun () -> Multipass.Frontier.run ~rounds:r g coins))
+        (Printf.sprintf "prefix-mis-r%d" r, fun () -> Protocols.Frontier.run ~rounds:r g coins))
       (if fast then [ 1; 2; 4 ] else [ 1; 2; 3; 4; 6 ])
     @ List.map
         (fun kind ->
-          ( "luby-mis-" ^ Multipass.Luby.priority_name kind,
-            fun () -> Multipass.Luby.run kind g coins ))
-        [ Multipass.Luby.Random; Multipass.Luby.Degree; Multipass.Luby.Index ]
+          ( "luby-mis-" ^ Protocols.Luby.priority_name kind,
+            fun () -> Protocols.Luby.run kind g coins ))
+        [ Protocols.Luby.Random; Protocols.Luby.Degree; Protocols.Luby.Index ]
   in
   List.iter
     (fun (name, run) ->
@@ -411,21 +411,21 @@ let streams_bench ?(fast = false) () =
   List.iter
     (fun eps_pct ->
       let eps = float_of_int eps_pct /. 100.0 in
-      let res, wall = Stdx.Parallel.timed (fun () -> Multipass.Stream_matching.run ~eps stream) in
-      let passes = res.Multipass.Stream_matching.passes in
+      let res, wall = Stdx.Parallel.timed (fun () -> Streams.Stream_matching.run ~eps stream) in
+      let passes = res.Streams.Stream_matching.passes in
       let per f = List.map f passes in
-      let size = Dgraph.Matching.size res.Multipass.Stream_matching.matching in
+      let size = Dgraph.Matching.size res.Streams.Stream_matching.matching in
       Printf.printf
         "stream-matching    eps=%-3d%% passes=%-3d peak=%6d bits  matching=%d/%d  %s\n%!"
-        eps_pct (List.length passes) res.Multipass.Stream_matching.peak_memory_bits size optimum
-        (if res.Multipass.Stream_matching.converged then "converged" else "budget");
+        eps_pct (List.length passes) res.Streams.Stream_matching.peak_memory_bits size optimum
+        (if res.Streams.Stream_matching.converged then "converged" else "budget");
       Printf.fprintf oc
         "{\"bench\":\"passes\",\"protocol\":\"stream-matching\",\"n\":%d,\"eps_pct\":%d,\"passes\":%d,\"peak_memory_bits\":%d,\"matching\":%d,\"optimum\":%d,\"converged\":%b,\"pass_memory_bits\":%s,\"pass_matching\":%s,\"pass_augmented\":%s,\"wall_s\":%s}\n"
-        n eps_pct (List.length passes) res.Multipass.Stream_matching.peak_memory_bits size
-        optimum res.Multipass.Stream_matching.converged
-        (jarr (per (fun p -> p.Multipass.Stream_matching.memory_bits)))
-        (jarr (per (fun p -> p.Multipass.Stream_matching.matching_size)))
-        (jarr (per (fun p -> p.Multipass.Stream_matching.augmented)))
+        n eps_pct (List.length passes) res.Streams.Stream_matching.peak_memory_bits size
+        optimum res.Streams.Stream_matching.converged
+        (jarr (per (fun p -> p.Streams.Stream_matching.memory_bits)))
+        (jarr (per (fun p -> p.Streams.Stream_matching.matching_size)))
+        (jarr (per (fun p -> p.Streams.Stream_matching.augmented)))
         (T.float_repr wall))
     [ 50; 25; 10 ];
   close_out oc;

@@ -47,16 +47,16 @@ let compute ~ms ~rounds ~seed =
           (fun r ->
             row
               (Printf.sprintf "prefix r=%d" r)
-              (Multipass.Frontier.run ~rounds:r g coins))
+              (Protocols.Frontier.run ~rounds:r g coins))
           rounds
       in
       let luby =
         List.map
           (fun kind ->
             row
-              ("luby " ^ Multipass.Luby.priority_name kind)
-              (Multipass.Luby.run kind g coins))
-          [ Multipass.Luby.Random; Multipass.Luby.Degree; Multipass.Luby.Index ]
+              ("luby " ^ Protocols.Luby.priority_name kind)
+              (Protocols.Luby.run kind g coins))
+          [ Protocols.Luby.Random; Protocols.Luby.Degree; Protocols.Luby.Index ]
       in
       frontier @ luby)
     ms

@@ -27,8 +27,8 @@ let compute ~ns ~eps_pcts ~seed =
       List.map
         (fun eps_pct ->
           let eps = float_of_int eps_pct /. 100.0 in
-          let res = Multipass.Stream_matching.run ~eps stream in
-          let size = Dgraph.Matching.size res.Multipass.Stream_matching.matching in
+          let res = Streams.Stream_matching.run ~eps stream in
+          let size = Dgraph.Matching.size res.Streams.Stream_matching.matching in
           let ratio =
             if size = 0 then if optimum = 0 then 1.0 else infinity
             else float_of_int optimum /. float_of_int size
@@ -36,13 +36,13 @@ let compute ~ns ~eps_pcts ~seed =
           {
             sn = n;
             eps_pct;
-            passes = List.length res.Multipass.Stream_matching.passes;
-            peak_memory_bits = res.Multipass.Stream_matching.peak_memory_bits;
+            passes = List.length res.Streams.Stream_matching.passes;
+            peak_memory_bits = res.Streams.Stream_matching.peak_memory_bits;
             matching = size;
             optimum;
             ratio;
             within_eps = ratio <= 1.0 +. eps +. 1e-9;
-            converged = res.Multipass.Stream_matching.converged;
+            converged = res.Streams.Stream_matching.converged;
           })
         eps_pcts)
     ns

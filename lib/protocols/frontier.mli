@@ -1,7 +1,7 @@
 (** The r-round prefix-greedy MIS family: the rounds-vs-communication
     frontier.
 
-    Generalises the two-round protocol of [Protocols.Two_round_mis] to any
+    Generalises the two-round protocol of {!Two_round_mis} to any
     number of rounds. A shared random permutation π — derived once per run
     from the coins, carried in state, never broadcast — splits the vertices
     into r blocks with boundaries s_t = ⌈n^(t/r)⌉ (s_r = n); round t runs

@@ -14,8 +14,9 @@ let beats coins ~label u v =
 
 (* Weak independence only needs the top-priority pin of every hyperedge
    to stay out: a vertex joins iff it is not the maximum of any incident
-   edge. On 2-uniform hypergraphs this is exactly the graph local-minima
-   protocol (not-max in every pair = min among neighbours). *)
+   edge. On 2-uniform hypergraphs this is the graph local-minima rule
+   (not-max in every pair = min among neighbours), under its own coin
+   label, so the two protocols' outputs differ on the same coins. *)
 let local_minima =
   {
     Model.name = "hyper-local-minima-mis";

@@ -4,8 +4,11 @@
     priority; weak independence only needs the top-priority pin of every
     hyperedge to stay out, so one bit — "I am not the maximum of any
     incident edge" — yields an independent set that is essentially never
-    maximal. On 2-uniform hypergraphs this is exactly
-    {!One_round_mis.local_minima}.
+    maximal. On 2-uniform hypergraphs the rule is
+    {!One_round_mis.local_minima}'s: [v] joins iff its (priority, id) is
+    below every neighbour's. The priorities are drawn under another coin
+    label (["hmis-priority"], not ["mis-priority"]), so on the same coins
+    the two outputs generally differ.
 
     {b Luby-style (multi-round).} Fresh priorities each round; an active
     vertex blocks itself when some incident edge has every other pin

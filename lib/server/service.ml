@@ -158,7 +158,7 @@ let handle_list _t =
         ("params", arr (List.map param_json (R.params e)));
       ]
   in
-  let protocol_json (name, doc) = obj [ ("name", jstr name); ("doc", jstr doc) ] in
+  let protocol_json (name, { Simulate.doc; _ }) = obj [ ("name", jstr name); ("doc", jstr doc) ] in
   ok_response
     [
       ("op", jstr "list");
@@ -380,12 +380,12 @@ let request_key j =
               | Error _ -> None)))
   | Some "simulate" -> (
       match (str_field j "protocol", T.member "graph" j) with
-      | Some protocol, Some gj when List.mem_assoc protocol Simulate.protocols -> (
-          match Simulate.gspec_of_json gj with
-          | Ok graph when Simulate.compatible ~protocol graph ->
+      | Some name, Some gj -> (
+          match (List.assoc_opt name Simulate.protocols, Simulate.gspec_of_json gj) with
+          | Some protocol, Ok graph when Simulate.compatible protocol graph ->
               let seed = Option.value ~default:7 (int_field j "seed") in
-              Some (simulate_key ~protocol ~graph ~seed)
-          | Ok _ | Error _ -> None)
+              Some (simulate_key ~protocol:name ~graph ~seed)
+          | _ -> None)
       | _ -> None)
   | _ -> None
 
@@ -423,18 +423,18 @@ let handle_run t ~cancelled j ~k =
 let handle_simulate t ~cancelled j ~k =
   match str_field j "protocol" with
   | None -> k (bad_request "simulate needs a string field \"protocol\"")
-  | Some name when not (List.mem_assoc name Simulate.protocols) ->
-      k
-        (bad_request
-           (Printf.sprintf "unknown protocol %S; valid protocols: %s" name
-              (String.concat ", " (List.map fst Simulate.protocols))))
   | Some name -> (
-      match T.member "graph" j with
-      | None -> k (bad_request "simulate needs an object field \"graph\"")
-      | Some gj -> (
+      match (List.assoc_opt name Simulate.protocols, T.member "graph" j) with
+      | None, _ ->
+          k
+            (bad_request
+               (Printf.sprintf "unknown protocol %S; valid protocols: %s" name
+                  (String.concat ", " (List.map fst Simulate.protocols))))
+      | Some _, None -> k (bad_request "simulate needs an object field \"graph\"")
+      | Some protocol, Some gj -> (
           match Simulate.gspec_of_json gj with
           | Error msg -> k (bad_request msg)
-          | Ok graph when not (Simulate.compatible ~protocol:name graph) ->
+          | Ok graph when not (Simulate.compatible protocol graph) ->
               k
                 (bad_request
                    (Printf.sprintf "protocol %S cannot run on a %s input" name

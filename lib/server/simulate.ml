@@ -107,34 +107,83 @@ let gspec_of_json j =
 (* ------------------------------------------------------------------ *)
 (* The protocol catalogue                                              *)
 
+(* Which engine call computes a protocol, split by the input it needs.
+   Both variants are private to this module and matched exhaustively in
+   [run], so a constructor with no [run] arm (warning 8) or in no
+   catalogue entry (warning 37) fails the build. *)
+type graph_engine =
+  | Trivial_mm
+  | Trivial_mis
+  | Local_minima
+  | Two_round_mm
+  | Two_round_mis
+  | Frontier of int
+  | Luby of Protocols.Luby.priority
+  | Stream_matching
+
+type hypergraph_engine =
+  | Hyper_trivial_mm
+  | Hyper_iterated_mm
+  | Hyper_local_minima_mis
+  | Hyper_luby_mis
+
+type input = Graph of graph_engine | Hypergraph of hypergraph_engine
+type protocol = { doc : string; input : input }
+
+(* Static data: strings and constructors of constants only, so the
+   compiler emits the whole list as one constant and module
+   initialisation allocates nothing. *)
 let protocols =
   [
-    ("trivial-mm", "full neighbourhoods, referee solves MM exactly (one round)");
-    ("trivial-mis", "full neighbourhoods, referee solves MIS exactly (one round)");
-    ("local-minima", "one-bit local-minima MIS attempt (one round; rarely maximal)");
-    ("two-round-mm", "Lattanzi-style filtering MM (two rounds, O~(sqrt n))");
-    ("two-round-mis", "random-prefix greedy MIS (two rounds, O~(sqrt n))");
-    ("hyper-trivial-mm", "full incident pin sets, referee solves hypergraph MM (one round)");
-    ("hyper-iterated-mm", "proposal rounds to a maximal hypergraph matching (multi-round)");
-    ("hyper-local-minima-mis", "one-bit hypergraph MIS attempt (one round; rarely maximal)");
-    ("hyper-luby-mis", "Luby-style hypergraph MIS (multi-round, always maximal)");
-    ("prefix-mis-r4", "r-round prefix-greedy MIS at r=4 (multipass frontier)");
-    ("luby-mis-random", "Luby MIS, fresh public-coin priorities (2 bits/player/round)");
-    ("luby-mis-degree", "Luby MIS, degree-biased priorities (degree prep round first)");
-    ("luby-mis-index", "Luby MIS, fixed index priorities (deterministic rounds)");
-    ("stream-matching", "multi-pass semi-streaming (1+eps) matching at eps=1/4");
+    ( "trivial-mm",
+      { doc = "full neighbourhoods, referee solves MM exactly (one round)";
+        input = Graph Trivial_mm } );
+    ( "trivial-mis",
+      { doc = "full neighbourhoods, referee solves MIS exactly (one round)";
+        input = Graph Trivial_mis } );
+    ( "local-minima",
+      { doc = "one-bit local-minima MIS attempt (one round; rarely maximal)";
+        input = Graph Local_minima } );
+    ( "two-round-mm",
+      { doc = "Lattanzi-style filtering MM (two rounds, O~(sqrt n))";
+        input = Graph Two_round_mm } );
+    ( "two-round-mis",
+      { doc = "random-prefix greedy MIS (two rounds, O~(sqrt n))";
+        input = Graph Two_round_mis } );
+    ( "hyper-trivial-mm",
+      { doc = "full incident pin sets, referee solves hypergraph MM (one round)";
+        input = Hypergraph Hyper_trivial_mm } );
+    ( "hyper-iterated-mm",
+      { doc = "proposal rounds to a maximal hypergraph matching (multi-round)";
+        input = Hypergraph Hyper_iterated_mm } );
+    ( "hyper-local-minima-mis",
+      { doc = "one-bit hypergraph MIS attempt (one round; rarely maximal)";
+        input = Hypergraph Hyper_local_minima_mis } );
+    ( "hyper-luby-mis",
+      { doc = "Luby-style hypergraph MIS (multi-round, always maximal)";
+        input = Hypergraph Hyper_luby_mis } );
+    ( "prefix-mis-r4",
+      { doc = "r-round prefix-greedy MIS at r=4 (multipass frontier)";
+        input = Graph (Frontier 4) } );
+    ( "luby-mis-random",
+      { doc = "Luby MIS, fresh public-coin priorities (2 bits/player/round)";
+        input = Graph (Luby Protocols.Luby.Random) } );
+    ( "luby-mis-degree",
+      { doc = "Luby MIS, degree-biased priorities (degree prep round first)";
+        input = Graph (Luby Protocols.Luby.Degree) } );
+    ( "luby-mis-index",
+      { doc = "Luby MIS, fixed index priorities (deterministic rounds)";
+        input = Graph (Luby Protocols.Luby.Index) } );
+    ( "stream-matching",
+      { doc = "multi-pass semi-streaming (1+eps) matching at eps=1/4";
+        input = Graph Stream_matching } );
   ]
 
 (* Graph protocols need a graph-shaped input; the hypergraph protocols
    accept everything (graph kinds embed 2-uniformly). The service checks
    this before computing, so a mismatch is a 400, not a crash. *)
-let compatible ~protocol graph =
-  match (protocol, graph) with
-  | ("hyper-trivial-mm" | "hyper-iterated-mm" | "hyper-local-minima-mis" | "hyper-luby-mis"), _
-    ->
-      true
-  | _, Hyperk _ -> false
-  | _, _ -> true
+let compatible { input; _ } graph =
+  match (input, graph) with Graph _, Hyperk _ -> false | _ -> true
 
 let mm_output g m =
   let v = Dgraph.Matching.verify g m in
@@ -206,17 +255,17 @@ let two_round_stats (s : Rounds.stats) =
 
 (* Streaming passes are the cost axis, not rounds: report per-pass memory
    and matching growth alongside the peak. *)
-let stream_stats (r : Multipass.Stream_matching.result) =
-  let passes = r.Multipass.Stream_matching.passes in
+let stream_stats (r : Streams.Stream_matching.result) =
+  let passes = r.Streams.Stream_matching.passes in
   let per f = T.Jarr (List.map (fun p -> T.Jint (f p)) passes) in
   T.Jobj
     [
       ("passes", T.Jint (List.length passes));
-      ("peak_memory_bits", T.Jint r.Multipass.Stream_matching.peak_memory_bits);
-      ("converged", T.Jbool r.Multipass.Stream_matching.converged);
-      ("pass_memory_bits", per (fun p -> p.Multipass.Stream_matching.memory_bits));
-      ("pass_matching", per (fun p -> p.Multipass.Stream_matching.matching_size));
-      ("pass_augmented", per (fun p -> p.Multipass.Stream_matching.augmented));
+      ("peak_memory_bits", T.Jint r.Streams.Stream_matching.peak_memory_bits);
+      ("converged", T.Jbool r.Streams.Stream_matching.converged);
+      ("pass_memory_bits", per (fun p -> p.Streams.Stream_matching.memory_bits));
+      ("pass_matching", per (fun p -> p.Streams.Stream_matching.matching_size));
+      ("pass_augmented", per (fun p -> p.Streams.Stream_matching.augmented));
     ]
 
 (* A hypergraph matching arrives as pin sets (players cannot name frozen
@@ -247,76 +296,67 @@ let hyper_mis_output h s =
     ]
 
 let run spec =
-  if not (compatible ~protocol:spec.protocol spec.graph) then
-    invalid_arg (Printf.sprintf "Simulate.run: protocol %S needs a graph input" spec.protocol);
   let coins = coins spec.seed in
-  let sizes, output, stats =
-    match spec.protocol with
-    | "trivial-mm" ->
+  let vertices, edges, output, stats =
+    match (List.assoc spec.protocol protocols).input with
+    | Graph engine ->
+        (* Raises [Invalid_argument] on a [Hyperk] spec: the pair is not
+           {!compatible}. *)
         let g = graph_of_spec spec in
-        let m, s = Model.run Protocols.Trivial.mm g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mm_output g m, one_round_stats s)
-    | "trivial-mis" ->
-        let g = graph_of_spec spec in
-        let mis, s = Model.run Protocols.Trivial.mis g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, one_round_stats s)
-    | "local-minima" ->
-        let g = graph_of_spec spec in
-        let mis, s = Model.run Protocols.One_round_mis.local_minima g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, one_round_stats s)
-    | "two-round-mm" ->
-        let g = graph_of_spec spec in
-        let m, s = Protocols.Two_round_mm.run g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mm_output g m, two_round_stats s)
-    | "two-round-mis" ->
-        let g = graph_of_spec spec in
-        let mis, s = Protocols.Two_round_mis.run g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, two_round_stats s)
-    | "hyper-trivial-mm" ->
-        let h = hypergraph_of_spec spec in
-        let m, s = Protocols.Hyper_mm.run_trivial h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, one_round_stats s)
-    | "hyper-iterated-mm" ->
-        let h = hypergraph_of_spec spec in
-        let m, s = Protocols.Hyper_mm.run_iterated h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, hyper_rounds_stats s)
-    | "hyper-local-minima-mis" ->
-        let h = hypergraph_of_spec spec in
-        let mis, s = Protocols.Hyper_mis.run_local_minima h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, one_round_stats s)
-    | "hyper-luby-mis" ->
-        let h = hypergraph_of_spec spec in
-        let mis, s = Protocols.Hyper_mis.run_luby h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, hyper_rounds_stats s)
-    | "prefix-mis-r4" ->
-        let g = graph_of_spec spec in
-        let mis, s = Multipass.Frontier.run ~rounds:4 g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, rounds_stats s)
-    | ("luby-mis-random" | "luby-mis-degree" | "luby-mis-index") as name ->
-        let kind =
-          match name with
-          | "luby-mis-random" -> Multipass.Luby.Random
-          | "luby-mis-degree" -> Multipass.Luby.Degree
-          | _ -> Multipass.Luby.Index
+        let output, stats =
+          match engine with
+          | Trivial_mm ->
+              let m, s = Model.run Protocols.Trivial.mm g coins in
+              (mm_output g m, one_round_stats s)
+          | Trivial_mis ->
+              let mis, s = Model.run Protocols.Trivial.mis g coins in
+              (mis_output g mis, one_round_stats s)
+          | Local_minima ->
+              let mis, s = Model.run Protocols.One_round_mis.local_minima g coins in
+              (mis_output g mis, one_round_stats s)
+          | Two_round_mm ->
+              let m, s = Protocols.Two_round_mm.run g coins in
+              (mm_output g m, two_round_stats s)
+          | Two_round_mis ->
+              let mis, s = Protocols.Two_round_mis.run g coins in
+              (mis_output g mis, two_round_stats s)
+          | Frontier rounds ->
+              let mis, s = Protocols.Frontier.run ~rounds g coins in
+              (mis_output g mis, rounds_stats s)
+          | Luby priority ->
+              let mis, s = Protocols.Luby.run priority g coins in
+              (mis_output g mis, rounds_stats s)
+          | Stream_matching ->
+              let stream = Streams.Stream.shuffled (stream_rng spec.seed) g in
+              let res = Streams.Stream_matching.run ~eps:0.25 stream in
+              (mm_output g res.Streams.Stream_matching.matching, stream_stats res)
         in
-        let g = graph_of_spec spec in
-        let mis, s = Multipass.Luby.run kind g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, rounds_stats s)
-    | "stream-matching" ->
-        let g = graph_of_spec spec in
-        let stream = Streams.Stream.shuffled (stream_rng spec.seed) g in
-        let res = Multipass.Stream_matching.run ~eps:0.25 stream in
-        ( (Dgraph.Graph.n g, Dgraph.Graph.m g),
-          mm_output g res.Multipass.Stream_matching.matching,
-          stream_stats res )
-    | other -> invalid_arg (Printf.sprintf "Simulate.run: unknown protocol %S" other)
+        (Dgraph.Graph.n g, Dgraph.Graph.m g, output, stats)
+    | Hypergraph engine ->
+        let h = hypergraph_of_spec spec in
+        let output, stats =
+          match engine with
+          | Hyper_trivial_mm ->
+              let m, s = Protocols.Hyper_mm.run_trivial h coins in
+              (hyper_mm_output h m, one_round_stats s)
+          | Hyper_iterated_mm ->
+              let m, s = Protocols.Hyper_mm.run_iterated h coins in
+              (hyper_mm_output h m, hyper_rounds_stats s)
+          | Hyper_local_minima_mis ->
+              let mis, s = Protocols.Hyper_mis.run_local_minima h coins in
+              (hyper_mis_output h mis, one_round_stats s)
+          | Hyper_luby_mis ->
+              let mis, s = Protocols.Hyper_mis.run_luby h coins in
+              (hyper_mis_output h mis, hyper_rounds_stats s)
+        in
+        (Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h, output, stats)
   in
   [
     ("protocol", T.Jstr spec.protocol);
     ("graph", json_of_gspec spec.graph);
     ("seed", T.Jint spec.seed);
-    ("vertices", T.Jint (fst sizes));
-    ("edges", T.Jint (snd sizes));
+    ("vertices", T.Jint vertices);
+    ("edges", T.Jint edges);
     ("output", output);
     ("stats", stats);
   ]

@@ -58,22 +58,37 @@ val gspec_of_json : T.json -> (gspec, string) result
     bound. A [hyperk] spec also needs [m <= 65536] (the reason names
     ["m"]). *)
 
-val protocols : (string * string) list
-(** [(name, doc)] for every runnable protocol: [trivial-mm], [trivial-mis],
-    [local-minima], [two-round-mm], [two-round-mis], the hypergraph
-    protocols [hyper-trivial-mm], [hyper-iterated-mm],
-    [hyper-local-minima-mis], [hyper-luby-mis], and the multipass wing
-    [prefix-mis-r4], [luby-mis-random], [luby-mis-degree],
-    [luby-mis-index], [stream-matching] (PROTOCOL.md §4.5). *)
+type graph_engine
+(** Which engine call computes a graph protocol (private). *)
 
-val compatible : protocol:string -> gspec -> bool
-(** Whether the protocol can run on the input: graph protocols need a
-    graph kind, the [hyper-*] protocols accept every kind. The service
+type hypergraph_engine
+(** Which engine call computes a hypergraph protocol (private). *)
+
+(** The input a protocol runs on, and the engine call that computes it. *)
+type input = Graph of graph_engine | Hypergraph of hypergraph_engine
+
+type protocol = { doc : string; input : input }
+(** One catalogue entry: its one-line description (what [list] serves)
+    and its input. *)
+
+val protocols : (string * protocol) list
+(** The catalogue, [(id, protocol)] for every runnable protocol, in
+    [list] order: [trivial-mm], [trivial-mis], [local-minima],
+    [two-round-mm], [two-round-mis], the hypergraph protocols
+    [hyper-trivial-mm], [hyper-iterated-mm], [hyper-local-minima-mis],
+    [hyper-luby-mis], and the multi-round wing [prefix-mis-r4],
+    [luby-mis-random], [luby-mis-degree], [luby-mis-index],
+    [stream-matching] (PROTOCOL.md §4.5). Static data: building it
+    allocates nothing. *)
+
+val compatible : protocol -> gspec -> bool
+(** Whether the protocol can run on the input: a [Graph] protocol needs
+    a graph kind, a [Hypergraph] protocol accepts every kind. The service
     layer rejects incompatible pairs as a 400 before computing. *)
 
 val run : spec -> (string * T.json) list
 (** Execute the simulation; the response body's fields ([protocol], [graph],
-    [seed], [vertices], [edges], [output], [stats]). Raises
-    [Invalid_argument] on an unknown protocol name or an incompatible
-    (protocol, input) pair — the service layer validates first via
-    {!protocols} and {!compatible}. *)
+    [seed], [vertices], [edges], [output], [stats]). Raises [Not_found]
+    on a protocol name not in {!protocols} and [Invalid_argument] on an
+    incompatible (protocol, input) pair — the service layer validates
+    first via {!protocols} and {!compatible}. *)

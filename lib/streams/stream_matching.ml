@@ -1,6 +1,5 @@
 module Graph = Dgraph.Graph
 module Matching = Dgraph.Matching
-module Stream = Streams.Stream
 
 type pass_stat = {
   pass : int;

@@ -3,7 +3,7 @@
     the frontier.
 
     Pass 1 runs greedy maximal matching over the edge stream (a
-    2-approximation, the single-pass baseline of [Streams.Insertion_greedy]).
+    2-approximation, the single-pass baseline of {!Insertion_greedy}).
     Each later pass streams the edges again and keeps a bounded-degree
     {e sparsifier}: at most [2k] kept edges incident to a free vertex and
     [k] to a matched one, [k = ⌈1/ε⌉], so the retained state is
@@ -35,7 +35,7 @@ type result = {
   converged : bool;  (** stopped on a non-improving pass, not the budget *)
 }
 
-val run : ?eps:float -> ?max_passes:int -> Streams.Stream.t -> result
+val run : ?eps:float -> ?max_passes:int -> Stream.t -> result
 (** [run ~eps stream] on an insertion-only stream; raises
     [Invalid_argument] on deletions (greedy cannot start from a dynamic
     stream) or [eps <= 0]. [max_passes] defaults to [k²], the poly(1/ε)

@@ -1,4 +1,18 @@
-module Graph = Dgraph.Graph
+(* Closure operations on RS graphs, shared by test_rs and test_accounting.
+
+   The RS property is preserved by several natural operations; these give
+   the suites a cheap way to build bespoke instances with prescribed
+   (r, t) from verified building blocks. Everything returned here
+   re-validates through [Rs_graph.of_matchings].
+
+   - [disjoint_union]: (r, t1) + (r, t2) = (r, t1 + t2); needs equal r.
+   - [widen]: matching j of the result is M_j + M'_j on disjoint vertex
+     sets, (r1, t) + (r2, t) = (r1 + r2, t); needs equal t.
+   - [take_matchings rs t']: the sub-RS graph on the first t' matchings,
+     vertex set unchanged.
+   - [shrink_matchings rs r']: the first r' edges of every matching. *)
+
+module Rs_graph = Rsgraph.Rs_graph
 
 let shift_matchings offset matchings =
   Array.map (Array.map (fun (u, v) -> (u + offset, v + offset))) matchings

@@ -113,7 +113,7 @@ let test_other_shapes () =
        { A.rs = Rsgraph.Rs_graph.trivial ~r:2 ~t:2; k = 2; bits = 4; strategy = A.Truncate;
          sigma_mode = A.Fix_sigma });
       ("derived shrink of bipartite",
-       { A.rs = Rsgraph.Derived.shrink_matchings (Rsgraph.Derived.take_matchings
+       { A.rs = Derived.shrink_matchings (Derived.take_matchings
                    (Rsgraph.Rs_graph.bipartite 3) 2) 1;
          k = 2; bits = 5; strategy = A.Truncate; sigma_mode = A.Fix_sigma });
     ]
@@ -127,7 +127,7 @@ let test_other_shapes () =
 let test_bipartite_m3_subset () =
   (* A genuinely larger micro space: first two matchings of the m=3
      bipartite RS graph, k=2 (2 x 4 edges -> 256 codes x t=2). *)
-  let rs = Rsgraph.Derived.take_matchings (Rsgraph.Rs_graph.bipartite 3) 2 in
+  let rs = Derived.take_matchings (Rsgraph.Rs_graph.bipartite 3) 2 in
   (* n = 19 with 11 public labels under the identity sigma, so the
      adjacency prefix must reach past label 11 to reveal anything about
      the unique vertices. *)

@@ -1,9 +1,64 @@
-(* Tests for Infotheory: spaces, entropy and the executable Fact 2.2 /
-   Propositions 2.3-2.4 used by the lower-bound accounting. *)
+(* Tests for Infotheory: spaces, entropy, and Fact 2.2 / Propositions
+   2.3-2.4, the steps the lower-bound accounting chains together. *)
 
 module S = Infotheory.Space
 module E = Infotheory.Entropy
-module F = Infotheory.Facts
+
+(* The paper's information-theory toolbox (Fact 2.2 and Propositions
+   2.3 / 2.4) as executable checks: each returns the numerical slack of
+   its (in)equality on a space and random variables, and the cases below
+   assert the slack is non-negative (inequalities) or negligible
+   (identities). [tolerance] decides conditional independence. *)
+module F = struct
+  let tolerance = 1e-9
+
+  let log2 x = log x /. log 2.
+
+  let entropy_bounds space a =
+    let h = E.entropy space a in
+    let support = Hashtbl.create 16 in
+    S.iter (fun outcome _ -> Hashtbl.replace support (a outcome) ()) space;
+    (h, log2 (float_of_int (Hashtbl.length support)))
+
+  let mi_nonneg space a b = E.mutual_information space a b
+
+  let conditioning_reduces_entropy space a ~given ~extra =
+    E.conditional_entropy space a ~given
+    -. E.conditional_entropy space a ~given:(E.pair given extra)
+
+  let chain_rule_entropy_residual space a b ~given =
+    let lhs = E.conditional_entropy space (E.pair a b) ~given in
+    let rhs =
+      E.conditional_entropy space a ~given
+      +. E.conditional_entropy space b ~given:(E.pair given a)
+    in
+    abs_float (lhs -. rhs)
+
+  let chain_rule_mi_residual space a b c ~given =
+    let lhs = E.conditional_mutual_information space (E.pair a b) c ~given in
+    let rhs =
+      E.conditional_mutual_information space a c ~given
+      +. E.conditional_mutual_information space b c ~given:(E.pair a given)
+    in
+    abs_float (lhs -. rhs)
+
+  let cond_independent space a d ~given =
+    E.conditional_mutual_information space a d ~given <= tolerance
+
+  let proposition_2_3 space ~a ~b ~c ~d =
+    if not (cond_independent space a d ~given:c) then None
+    else
+      Some
+        (E.conditional_mutual_information space a b ~given:(E.pair c d)
+        -. E.conditional_mutual_information space a b ~given:c)
+
+  let proposition_2_4 space ~a ~b ~c ~d =
+    if not (cond_independent space a d ~given:(E.pair b c)) then None
+    else
+      Some
+        (E.conditional_mutual_information space a b ~given:c
+        -. E.conditional_mutual_information space a b ~given:(E.pair c d))
+end
 
 let checkb = Alcotest.(check bool)
 let checkf msg = Alcotest.(check (float 1e-9)) msg

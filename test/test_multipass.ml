@@ -1,6 +1,6 @@
-(* Tests for Multipass: the r-round referee engine's accounting, the
-   frontier prefix MIS family, the Luby priority variants, and multi-pass
-   streaming matching. *)
+(* Tests for the multi-round wing: the r-round referee engine's
+   accounting, the frontier prefix MIS family, the Luby priority variants,
+   and multi-pass streaming matching. *)
 
 module MP = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
@@ -26,7 +26,7 @@ let graphs seed =
 let test_stats_consistency () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 21) 30 0.2 in
   let coins = PC.create 22 in
-  let _, s = Multipass.Frontier.run ~rounds:3 g coins in
+  let _, s = Protocols.Frontier.run ~rounds:3 g coins in
   checki "rounds matches arrays" s.MP.rounds (Array.length s.MP.round_max);
   checki "rounds matches totals" s.MP.rounds (Array.length s.MP.round_total);
   checki "rounds matches broadcasts" s.MP.rounds (Array.length s.MP.round_broadcast);
@@ -58,11 +58,11 @@ let test_max_rounds_guard () =
 (* ---- Frontier prefix MIS ---- *)
 
 let test_frontier_blocks () =
-  let b = Multipass.Frontier.blocks ~n:100 ~rounds:3 in
+  let b = Protocols.Frontier.blocks ~n:100 ~rounds:3 in
   checki "three cutoffs" 3 (Array.length b);
   checki "last cutoff is n" 100 b.(2);
   checkb "monotone" true (b.(0) <= b.(1) && b.(1) <= b.(2));
-  let b1 = Multipass.Frontier.blocks ~n:50 ~rounds:1 in
+  let b1 = Protocols.Frontier.blocks ~n:50 ~rounds:1 in
   checkb "r=1 is the whole graph" true (b1 = [| 50 |])
 
 let test_frontier_maximal_all_rounds () =
@@ -71,7 +71,7 @@ let test_frontier_maximal_all_rounds () =
       List.iter
         (fun r ->
           let coins = PC.create ((i * 10) + r) in
-          let mis, stats = Multipass.Frontier.run ~rounds:r g coins in
+          let mis, stats = Protocols.Frontier.run ~rounds:r g coins in
           checkb
             (Printf.sprintf "maximal IS (graph %d, r=%d)" i r)
             true
@@ -86,8 +86,8 @@ let test_frontier_r1_ships_adjacency () =
      shrink the worst single message on a dense graph. *)
   let g = Dgraph.Gen.complete 16 in
   let coins = PC.create 31 in
-  let _, s1 = Multipass.Frontier.run ~rounds:1 g coins in
-  let _, s4 = Multipass.Frontier.run ~rounds:4 g coins in
+  let _, s1 = Protocols.Frontier.run ~rounds:1 g coins in
+  let _, s4 = Protocols.Frontier.run ~rounds:4 g coins in
   checkb "r=4 max message below r=1" true (s4.MP.max_bits < s1.MP.max_bits)
 
 let test_frontier_init_derives_order () =
@@ -96,17 +96,17 @@ let test_frontier_init_derives_order () =
   List.iter
     (fun (n, seed) ->
       let coins = PC.create seed in
-      let p = Multipass.Frontier.protocol ~rounds:3 ~n in
+      let p = Protocols.Frontier.protocol ~rounds:3 ~n in
       let st = p.MP.init ~n coins in
       let expect =
         Stdx.Prng.permutation (PC.global coins "frontier-prefix-permutation") n
       in
       checkb (Printf.sprintf "pi is the coin permutation (n=%d)" n) true
-        (st.Multipass.Frontier.pi = expect);
+        (st.Protocols.Frontier.pi = expect);
       checkb "pos inverts pi" true
-        (Array.length st.Multipass.Frontier.pos = n
+        (Array.length st.Protocols.Frontier.pos = n
         && Array.for_all Fun.id
-             (Array.mapi (fun i v -> st.Multipass.Frontier.pos.(v) = i) expect)))
+             (Array.mapi (fun i v -> st.Protocols.Frontier.pos.(v) = i) expect)))
     [ (0, 1); (1, 2); (17, 3); (100, 4) ]
 
 (* Bytes allocated by one [f ()] on this domain: the least of three calls
@@ -127,7 +127,7 @@ let test_frontier_alloc_ceiling () =
   let n = 512 in
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 5) n (8.0 /. float_of_int n) in
   let coins = PC.create 9 in
-  let bytes = allocated (fun () -> Multipass.Frontier.run ~rounds:4 g coins) in
+  let bytes = allocated (fun () -> Protocols.Frontier.run ~rounds:4 g coins) in
   checkb (Printf.sprintf "r=4 run allocates %.0f B < 16 MB" bytes) true (bytes < 16e6)
 
 (* ---- Luby priority variants ---- *)
@@ -138,21 +138,21 @@ let test_luby_draws_match_keyed_coins () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 43) 30 0.2 in
   let n = G.n g in
   let coins = PC.create 44 in
-  let p = Multipass.Luby.protocol Multipass.Luby.Random ~n in
+  let p = Protocols.Luby.protocol Protocols.Luby.Random ~n in
   let st = p.MP.init ~n coins in
   Array.iter (fun view -> ignore (p.MP.player ~round:1 view st coins)) (Sketchmodel.Model.views g);
   let label = "mp-luby-random-r1" in
-  checkb "label is round 1's" true (st.Multipass.Luby.label = label);
-  checkb "some draws filled" true (Array.exists (fun d -> d >= 0) st.Multipass.Luby.draws);
+  checkb "label is round 1's" true (st.Protocols.Luby.label = label);
+  checkb "some draws filled" true (Array.exists (fun d -> d >= 0) st.Protocols.Luby.draws);
   Array.iteri
     (fun v d ->
       if d >= 0 then
         checki (Printf.sprintf "draw of %d" v)
           (Stdx.Prng.int (PC.keyed coins label v) (1 lsl 40))
           d)
-    st.Multipass.Luby.draws;
-  let index = Multipass.Luby.protocol Multipass.Luby.Index ~n in
-  checki "index never draws" 0 (Array.length (index.MP.init ~n coins).Multipass.Luby.draws)
+    st.Protocols.Luby.draws;
+  let index = Protocols.Luby.protocol Protocols.Luby.Index ~n in
+  checki "index never draws" 0 (Array.length (index.MP.init ~n coins).Protocols.Luby.draws)
 
 let test_luby_alloc_ceiling () =
   (* Each (round, vertex) priority is derived at most once: ~1.6 MB at
@@ -161,7 +161,7 @@ let test_luby_alloc_ceiling () =
   let n = 512 in
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 5) n (8.0 /. float_of_int n) in
   let coins = PC.create 9 in
-  let bytes = allocated (fun () -> Multipass.Luby.run Multipass.Luby.Random g coins) in
+  let bytes = allocated (fun () -> Protocols.Luby.run Protocols.Luby.Random g coins) in
   checkb (Printf.sprintf "random run allocates %.0f B < 3 MB" bytes) true (bytes < 3e6)
 
 let test_luby_maximal_all_priorities () =
@@ -170,19 +170,19 @@ let test_luby_maximal_all_priorities () =
       List.iter
         (fun prio ->
           let coins = PC.create ((500 + i) * 3) in
-          let mis, stats = Multipass.Luby.run prio g coins in
+          let mis, stats = Protocols.Luby.run prio g coins in
           checkb
-            (Printf.sprintf "maximal IS (%s, graph %d)" (Multipass.Luby.priority_name prio) i)
+            (Printf.sprintf "maximal IS (%s, graph %d)" (Protocols.Luby.priority_name prio) i)
             true
             (Dgraph.Mis.is_maximal g mis);
           checkb "terminates within the cap" true (stats.MP.rounds <= G.n g + 3))
-        [ Multipass.Luby.Random; Multipass.Luby.Degree; Multipass.Luby.Index ])
+        [ Protocols.Luby.Random; Protocols.Luby.Degree; Protocols.Luby.Index ])
     (graphs 16)
 
 let test_luby_deterministic () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 41) 24 0.2 in
-  let a, sa = Multipass.Luby.run Multipass.Luby.Random g (PC.create 7) in
-  let b, sb = Multipass.Luby.run Multipass.Luby.Random g (PC.create 7) in
+  let a, sa = Protocols.Luby.run Protocols.Luby.Random g (PC.create 7) in
+  let b, sb = Protocols.Luby.run Protocols.Luby.Random g (PC.create 7) in
   checkis "same output" a b;
   checki "same rounds" sa.MP.rounds sb.MP.rounds;
   checki "same bits" sa.MP.total_bits sb.MP.total_bits
@@ -192,14 +192,14 @@ let test_luby_index_path_is_slow () =
      from the high end: the deterministic worst case of the family. *)
   let n = 12 in
   let g = Dgraph.Gen.path n in
-  let mis, stats = Multipass.Luby.run Multipass.Luby.Index g (PC.create 1) in
+  let mis, stats = Protocols.Luby.run Protocols.Luby.Index g (PC.create 1) in
   checkb "maximal" true (Dgraph.Mis.is_maximal g mis);
   checkb "needs many rounds" true (stats.MP.rounds >= n / 2)
 
 let test_luby_degree_prep_round () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 51) 20 0.25 in
   let coins = PC.create 52 in
-  let _, sd = Multipass.Luby.run Multipass.Luby.Degree g coins in
+  let _, sd = Protocols.Luby.run Protocols.Luby.Degree g coins in
   (* The prep round charges one uvarint per player and a broadcast. *)
   checkb "prep round broadcast charged" true (sd.MP.round_broadcast.(0) > 0);
   checkb "prep round player bits charged" true (sd.MP.round_max.(0) > 0)
@@ -211,59 +211,59 @@ let test_stream_matching_valid_and_monotone () =
   for seed = 1 to 8 do
     let g = Dgraph.Gen.gnp (Stdx.Prng.create (seed * 13)) 40 0.12 in
     let stream = S.shuffled rng g in
-    let r = Multipass.Stream_matching.run ~eps:0.34 stream in
-    checkb "valid matching" true (Dgraph.Matching.is_matching g r.Multipass.Stream_matching.matching);
+    let r = Streams.Stream_matching.run ~eps:0.34 stream in
+    checkb "valid matching" true (Dgraph.Matching.is_matching g r.Streams.Stream_matching.matching);
     checkb "maximal (pass 1 guarantees it)" true
-      (Dgraph.Matching.is_maximal g r.Multipass.Stream_matching.matching);
+      (Dgraph.Matching.is_maximal g r.Streams.Stream_matching.matching);
     let sizes =
       List.map
-        (fun p -> p.Multipass.Stream_matching.matching_size)
-        r.Multipass.Stream_matching.passes
+        (fun p -> p.Streams.Stream_matching.matching_size)
+        r.Streams.Stream_matching.passes
     in
     checkb "matching never shrinks" true
       (List.for_all2 ( <= ) (List.filteri (fun i _ -> i < List.length sizes - 1) sizes)
          (List.tl sizes));
     checkb "within the optimum" true
-      (List.length r.Multipass.Stream_matching.matching
+      (List.length r.Streams.Stream_matching.matching
       <= Dgraph.Blossom.maximum_matching_size g)
   done
 
 let test_stream_matching_reaches_near_optimum () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 71) 48 0.15 in
   let stream = S.shuffled (Stdx.Prng.create 72) g in
-  let r = Multipass.Stream_matching.run ~eps:0.10 stream in
+  let r = Streams.Stream_matching.run ~eps:0.10 stream in
   let opt = Dgraph.Blossom.maximum_matching_size g in
-  let got = List.length r.Multipass.Stream_matching.matching in
+  let got = List.length r.Streams.Stream_matching.matching in
   checkb "within (1+eps) of optimum" true (float_of_int opt <= 1.10 *. float_of_int got)
 
 let test_stream_matching_peak_memory () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 81) 36 0.2 in
-  let r = Multipass.Stream_matching.run ~eps:0.5 (S.of_graph g) in
+  let r = Streams.Stream_matching.run ~eps:0.5 (S.of_graph g) in
   let max_pass =
     List.fold_left
-      (fun acc p -> max acc p.Multipass.Stream_matching.memory_bits)
-      0 r.Multipass.Stream_matching.passes
+      (fun acc p -> max acc p.Streams.Stream_matching.memory_bits)
+      0 r.Streams.Stream_matching.passes
   in
-  checki "peak is the max over passes" max_pass r.Multipass.Stream_matching.peak_memory_bits;
-  checkb "at least one pass" true (List.length r.Multipass.Stream_matching.passes >= 1)
+  checki "peak is the max over passes" max_pass r.Streams.Stream_matching.peak_memory_bits;
+  checkb "at least one pass" true (List.length r.Streams.Stream_matching.passes >= 1)
 
 let test_stream_matching_guards () =
   let deletions = { S.n = 3; events = [ S.Insert (0, 1); S.Delete (0, 1) ] } in
   checkb "rejects deletions" true
     (try
-       ignore (Multipass.Stream_matching.run deletions);
+       ignore (Streams.Stream_matching.run deletions);
        false
      with Invalid_argument _ -> true);
   checkb "rejects eps <= 0" true
     (try
-       ignore (Multipass.Stream_matching.run ~eps:0.0 { S.n = 2; events = [] });
+       ignore (Streams.Stream_matching.run ~eps:0.0 { S.n = 2; events = [] });
        false
      with Invalid_argument _ -> true)
 
 let test_stream_matching_pass_budget () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 91) 30 0.3 in
-  let r = Multipass.Stream_matching.run ~eps:0.05 ~max_passes:2 (S.of_graph g) in
-  checkb "respects the budget" true (List.length r.Multipass.Stream_matching.passes <= 2)
+  let r = Streams.Stream_matching.run ~eps:0.05 ~max_passes:2 (S.of_graph g) in
+  checkb "respects the budget" true (List.length r.Streams.Stream_matching.passes <= 2)
 
 (* ---- Properties ---- *)
 
@@ -274,17 +274,17 @@ let qcheck_tests =
          QCheck.(triple (int_range 1 30) (int_range 0 10000) (int_range 1 5))
          (fun (n, seed, r) ->
            let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n 0.25 in
-           let mis, _ = Multipass.Frontier.run ~rounds:r g (PC.create (seed + r)) in
+           let mis, _ = Protocols.Frontier.run ~rounds:r g (PC.create (seed + r)) in
            Dgraph.Mis.is_maximal g mis));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"luby MIS maximal for any priority" ~count:60
          QCheck.(triple (int_range 1 25) (int_range 0 10000) (int_range 0 2))
          (fun (n, seed, p) ->
            let prio =
-             match p with 0 -> Multipass.Luby.Random | 1 -> Multipass.Luby.Degree | _ -> Multipass.Luby.Index
+             match p with 0 -> Protocols.Luby.Random | 1 -> Protocols.Luby.Degree | _ -> Protocols.Luby.Index
            in
            let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n 0.3 in
-           let mis, _ = Multipass.Luby.run prio g (PC.create (seed * 2 + 1)) in
+           let mis, _ = Protocols.Luby.run prio g (PC.create (seed * 2 + 1)) in
            Dgraph.Mis.is_maximal g mis));
     (* Exact oracle: rounds change only the bits, never the MIS. Every r
        gives greedy over the shared "frontier-prefix-permutation" order. *)
@@ -301,7 +301,7 @@ let qcheck_tests =
            let expected = List.sort compare (Dgraph.Mis.greedy g ~order:pi ()) in
            List.for_all
              (fun r ->
-               let mis, _ = Multipass.Frontier.run ~rounds:r g coins in
+               let mis, _ = Protocols.Frontier.run ~rounds:r g coins in
                List.sort compare mis = expected)
              [ 1; 2; 3; 4; 5; 6 ]));
     (* Exact oracle: under Index, [beats] is [u > v], so the higher id
@@ -313,7 +313,7 @@ let qcheck_tests =
          (fun (n, p, seed) ->
            let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n p in
            let order = Array.init n (fun i -> n - 1 - i) in
-           let mis, _ = Multipass.Luby.run Multipass.Luby.Index g (PC.create seed) in
+           let mis, _ = Protocols.Luby.run Protocols.Luby.Index g (PC.create seed) in
            List.sort compare mis = List.sort compare (Dgraph.Mis.greedy g ~order ())));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"stream matching maximal for any chunked replay" ~count:40
@@ -322,8 +322,8 @@ let qcheck_tests =
            let rng = Stdx.Prng.create seed in
            let g = Dgraph.Gen.gnp rng n 0.3 in
            let s = S.concat (S.chunks (S.shuffled rng g) k) in
-           let r = Multipass.Stream_matching.run ~eps:0.5 s in
-           Dgraph.Matching.is_maximal g r.Multipass.Stream_matching.matching));
+           let r = Streams.Stream_matching.run ~eps:0.5 s in
+           Dgraph.Matching.is_maximal g r.Streams.Stream_matching.matching));
   ]
 
 let () =

@@ -1,4 +1,6 @@
-(* Tests for Protocols: trivial, budget-limited, and two-round MM/MIS. *)
+(* Tests for Protocols: trivial, budget-limited, and two-round MM/MIS,
+   and the exact oracles of the local-minima MIS and hypergraph trivial
+   MM protocols. *)
 
 module Model = Sketchmodel.Model
 module PC = Sketchmodel.Public_coins
@@ -189,6 +191,43 @@ let qcheck_tests =
            let order = Array.append prefix (Array.of_list rest) in
            let mis, _ = Protocols.Two_round_mis.run g coins in
            List.sort compare mis = List.sort compare (Dgraph.Mis.greedy g ~order ())));
+    (* Exact oracle for both local-minima protocols: v joins iff its
+       (priority, id) is below every neighbour's. The rule is the same,
+       but each draws its priorities under its own coin label, so on one
+       graph and one set of coins the two outputs differ. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"local-minima MIS = (priority, id) oracle, graph and 2-uniform"
+         ~count:200
+         QCheck.(
+           triple (int_range 0 119) (oneofl [ 0.02; 0.05; 0.1; 0.25; 0.5; 0.9 ]) (int_range 0 10000))
+         (fun (n, p, seed) ->
+           let g = random_graph seed n p in
+           let coins = PC.create (seed + 3) in
+           let oracle label =
+             let prio v = (Stdx.Prng.int (PC.keyed coins label v) (1 lsl 40), v) in
+             List.filter
+               (fun v -> Array.for_all (fun u -> prio v < prio u) (G.neighbors g v))
+               (List.init n Fun.id)
+           in
+           let mis, _ = Model.run Protocols.One_round_mis.local_minima g coins in
+           let hmis, _ = Protocols.Hyper_mis.run_local_minima (Dgraph.Hypergraph.of_graph g) coins in
+           List.sort compare mis = oracle "mis-priority"
+           && List.sort compare hmis = oracle "hmis-priority"));
+    (* Exact oracle: the referee rebuilds the hypergraph from the pin
+       sets it is sent and runs greedy in edge-id order, so its output is
+       greedy's on the input, as pin sets. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"hyper trivial MM = Hmatching.greedy pins, k = 2 and 3" ~count:200
+         QCheck.(triple (int_range 3 60) (int_range 0 90) (int_range 0 10000))
+         (fun (n, m, seed) ->
+           let rng = Stdx.Prng.create seed in
+           let p = float_of_int m /. float_of_int (n * n) in
+           let check h =
+             let out, _ = Protocols.Hyper_mm.run_trivial h (PC.create (seed + 1)) in
+             out = List.map (Dgraph.Hypergraph.pins h) (Dgraph.Hmatching.greedy h ())
+           in
+           check (Dgraph.Hypergraph.of_graph (Dgraph.Gen.gnp rng n p))
+           && check (Dgraph.Hgen.uniform_random rng ~n ~m ~k:3)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"sampled budget never exceeded" ~count:60
          QCheck.(triple (int_range 2 40) (int_range 0 500) (int_range 0 200))

@@ -133,26 +133,26 @@ let test_behrend_rate_bounded () =
 
 let test_derived_disjoint_union () =
   let a = Rs.trivial ~r:2 ~t:3 and b = Rs.trivial ~r:2 ~t:2 in
-  let u = Rsgraph.Derived.disjoint_union a b in
+  let u = Derived.disjoint_union a b in
   checki "t adds" 5 u.Rs.t_count;
   checki "r unchanged" 2 u.Rs.r;
   checkb "valid" true (V.is_valid_rs u);
   Alcotest.check_raises "unequal r" (Invalid_argument "Derived.disjoint_union: unequal r")
-    (fun () -> ignore (Rsgraph.Derived.disjoint_union a (Rs.trivial ~r:3 ~t:1)))
+    (fun () -> ignore (Derived.disjoint_union a (Rs.trivial ~r:3 ~t:1)))
 
 let test_derived_widen () =
   let a = Rs.bipartite 3 and b = Rs.trivial ~r:1 ~t:3 in
-  let w = Rsgraph.Derived.widen a b in
+  let w = Derived.widen a b in
   checki "r adds" (a.Rs.r + 1) w.Rs.r;
   checki "t unchanged" 3 w.Rs.t_count;
   checkb "valid" true (V.is_valid_rs w)
 
 let test_derived_take_shrink () =
   let rs = Rs.bipartite 6 in
-  let taken = Rsgraph.Derived.take_matchings rs 2 in
+  let taken = Derived.take_matchings rs 2 in
   checki "t shrinks" 2 taken.Rs.t_count;
   checkb "valid" true (V.is_valid_rs taken);
-  let shrunk = Rsgraph.Derived.shrink_matchings rs 1 in
+  let shrunk = Derived.shrink_matchings rs 1 in
   checki "r shrinks" 1 shrunk.Rs.r;
   checki "t kept" rs.Rs.t_count shrunk.Rs.t_count;
   checkb "valid" true (V.is_valid_rs shrunk)

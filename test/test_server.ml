@@ -199,9 +199,36 @@ let test_service_list () =
       checkb "catalogue has claim31" true (List.mem "claim31" ids);
       checkb "catalogue matches registry" true
         (List.length ids = List.length (Core.Exp_all.all ()));
-      match T.member "protocols" j with
-      | Some (T.Jarr ps) -> checki "protocol catalogue" (List.length Server.Simulate.protocols) (List.length ps)
-      | _ -> Alcotest.fail "no protocols field")
+      (* The served protocol list is the catalogue: same ids and docs, in
+         catalogue order. *)
+      let served =
+        match T.member "protocols" j with
+        | Some (T.Jarr ps) ->
+            List.map
+              (fun p ->
+                match (T.member "name" p, T.member "doc" p) with
+                | Some (T.Jstr name), Some (T.Jstr doc) -> (name, doc)
+                | _ -> Alcotest.fail "protocol entry without name and doc")
+              ps
+        | _ -> Alcotest.fail "no protocols field"
+      in
+      Alcotest.(check (list (pair string string)))
+        "protocol catalogue"
+        (List.map (fun (id, p) -> (id, p.Server.Simulate.doc)) Server.Simulate.protocols)
+        served)
+
+(* Every catalogue entry on a hyperk input: a 400 exactly when the entry's
+   input is a graph, an ok reply when it is a hypergraph. *)
+let test_service_catalogue_inputs () =
+  with_service (fun t ->
+      let hyperk = T.Jobj [ ("kind", T.Jstr "hyperk"); ("n", T.Jint 9); ("m", T.Jint 4); ("k", T.Jint 3) ] in
+      List.iter
+        (fun (id, p) ->
+          let j = json t [ ("op", T.Jstr "simulate"); ("protocol", T.Jstr id); ("graph", hyperk) ] in
+          match p.Server.Simulate.input with
+          | Server.Simulate.Graph _ -> checki (id ^ " on hyperk") 400 (code_of j)
+          | Server.Simulate.Hypergraph _ -> checkb (id ^ " on hyperk") true (is_ok j))
+        Server.Simulate.protocols)
 
 let test_service_errors () =
   with_service (fun t ->
@@ -399,16 +426,16 @@ let test_service_simulate_bits () =
                 let _, s = Protocols.Hyper_mis.run_luby h coins in
                 rounds_bits s
             | "prefix-mis-r4" ->
-                let _, s = Multipass.Frontier.run ~rounds:4 g coins in
+                let _, s = Protocols.Frontier.run ~rounds:4 g coins in
                 rounds_bits s
             | "luby-mis-random" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Random g coins in
+                let _, s = Protocols.Luby.run Protocols.Luby.Random g coins in
                 rounds_bits s
             | "luby-mis-degree" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Degree g coins in
+                let _, s = Protocols.Luby.run Protocols.Luby.Degree g coins in
                 rounds_bits s
             | "luby-mis-index" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Index g coins in
+                let _, s = Protocols.Luby.run Protocols.Luby.Index g coins in
                 rounds_bits s
             | "stream-matching" ->
                 (* Pass accounting, not bit accounting: checked below
@@ -429,13 +456,13 @@ let test_service_simulate_bits () =
           match T.member "stats" j with
           | Some stats when protocol = "stream-matching" ->
               let stream = Streams.Stream.shuffled (Server.Simulate.stream_rng seed) g in
-              let res = Multipass.Stream_matching.run ~eps:0.25 stream in
+              let res = Streams.Stream_matching.run ~eps:0.25 stream in
               checkb (protocol ^ " passes") true
                 (T.member "passes" stats
-                = Some (T.Jint (List.length res.Multipass.Stream_matching.passes)));
+                = Some (T.Jint (List.length res.Streams.Stream_matching.passes)));
               checkb (protocol ^ " peak_memory_bits") true
                 (T.member "peak_memory_bits" stats
-                = Some (T.Jint res.Multipass.Stream_matching.peak_memory_bits))
+                = Some (T.Jint res.Streams.Stream_matching.peak_memory_bits))
           | Some stats ->
               checkb (protocol ^ " max_bits") true (T.member "max_bits" stats = Some (T.Jint expect_max));
               checkb (protocol ^ " total_bits") true
@@ -520,8 +547,10 @@ let simulate_golden_requests =
   let hyperk = Server.Simulate.Hyperk { n = 30; m = 20; k = 3 } in
   List.map (fun (protocol, _) -> (protocol, gnp, 11)) Server.Simulate.protocols
   @ List.filter_map
-      (fun (protocol, _) ->
-        if String.starts_with ~prefix:"hyper-" protocol then Some (protocol, hyperk, 5) else None)
+      (fun (protocol, p) ->
+        match p.Server.Simulate.input with
+        | Server.Simulate.Hypergraph _ -> Some (protocol, hyperk, 5)
+        | Server.Simulate.Graph _ -> None)
       Server.Simulate.protocols
 
 let test_service_simulate_golden () =
@@ -839,6 +868,7 @@ let () =
         [
           Alcotest.test_case "ping version" `Quick test_service_ping_version;
           Alcotest.test_case "list catalogue" `Quick test_service_list;
+          Alcotest.test_case "catalogue inputs on hyperk" `Quick test_service_catalogue_inputs;
           Alcotest.test_case "error taxonomy" `Quick test_service_errors;
           Alcotest.test_case "graph n bounds" `Quick test_simulate_graph_n_bounds;
           Alcotest.test_case "cache determinism" `Quick test_service_cache_determinism;

@@ -149,7 +149,7 @@ let qcheck_tests =
     (* The multi-pass contract: however a stream is cut into arrival
        batches, and (for insertion-only streams) in whatever order those
        batches are replayed, the frozen graph is the same one. This is
-       what lets [Multipass.Stream_matching] treat "a pass" as any
+       what lets [Streams.Stream_matching] treat "a pass" as any
        chunking of the event sequence. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"any chunking reassembles to the same frozen graph" ~count:60
