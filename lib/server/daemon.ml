@@ -28,7 +28,8 @@
 
    The hardening knobs live here, each observable via `stats` and a trace
    instant: a max-connections cap (accept, best-effort 503 frame, close —
-   "daemon.conn-limit"), an idle-connection timeout (best-effort 408 frame
+   "daemon.conn-limit"; the same answer at the open-files limit, through
+   a spare descriptor), an idle-connection timeout (best-effort 408 frame
    — "daemon.idle-timeout"), a per-connection token-bucket rate limit
    (in-order 429 replies, connection kept — "daemon.rate-limited"), and
    TCP keepalive on accepted sockets.
@@ -158,6 +159,12 @@ type t = {
   tick_ms : int;  (* wait timeout and idle-sweep period *)
   mutable next_sweep : float;
   mutable listener_open : bool;
+  (* One descriptor held back for the descriptor limit: closing it makes
+     room to accept and answer one connection that [accept] alone could
+     not take. [None] while it cannot be reopened; the listener's read
+     interest is then dropped until a connection closes. *)
+  mutable spare : Unix.file_descr option;
+  mutable listen_paused : bool;
 }
 
 (* [Poll] keys of the two fixed registrations; connections count up from
@@ -192,6 +199,31 @@ let frame_error ~code ~error msg =
 let metric t f = match t.metrics with Some m -> f m | None -> ()
 
 (* ------------------------------------------------------------------ *)
+(* The spare descriptor                                                *)
+
+let open_spare () =
+  match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | fd -> Some fd
+  | exception Unix.Unix_error _ -> None
+
+(* With no spare, a full descriptor table leaves the level-triggered
+   listener ready forever; stop watching it rather than spin. *)
+let pause_listener t =
+  if t.listener_open && not t.listen_paused then begin
+    Poll.modify t.poller t.listen_fd ~key:listen_key 0;
+    t.listen_paused <- true
+  end
+
+(* Called while paused (so with no spare) as a descriptor is freed:
+   take the spare back, then listen again. *)
+let resume_listener t =
+  t.spare <- open_spare ();
+  if Option.is_some t.spare then begin
+    t.listen_paused <- false;
+    if t.listener_open then Poll.modify t.poller t.listen_fd ~key:listen_key Poll.pollin
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Event-thread connection machinery                                   *)
 
 let close_conn t conn =
@@ -201,7 +233,8 @@ let close_conn t conn =
     Hashtbl.remove t.conns conn.id;
     Poll.remove t.poller conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    metric t Metrics.conn_closed
+    metric t Metrics.conn_closed;
+    if t.listen_paused then resume_listener t
   end
 
 (* The interest a connection's state calls for. Back-pressure by
@@ -385,6 +418,17 @@ let read_conn t conn =
 (* ------------------------------------------------------------------ *)
 (* Accepting                                                           *)
 
+(* Accept-then-503: the client learns why instead of waiting in the
+   backlog. Best-effort single write — the frame is tiny and the socket
+   buffer empty, so a short write means a dead peer. *)
+let reject t fd msg =
+  metric t Metrics.conn_rejected;
+  Stdx.Trace.instant "daemon.conn-limit";
+  let frame = Wire.encode (frame_error ~code:503 ~error:"conn-limit" msg) in
+  (try ignore (Unix.write fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let admit t fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -392,21 +436,9 @@ let admit t fd =
     (try Unix.setsockopt fd Unix.SO_KEEPALIVE true with Unix.Unix_error _ -> ());
   if locked t (fun () -> t.stopping) then (
     try Unix.close fd with Unix.Unix_error _ -> ())
-  else if Hashtbl.length t.conns >= t.cfg.max_conns then begin
-    (* Accept-then-503: the client learns why instead of waiting in the
-       backlog. Best-effort single write — the frame is tiny and the
-       socket buffer empty, so a short write means a dead peer. *)
-    metric t Metrics.conn_rejected;
-    Stdx.Trace.instant "daemon.conn-limit";
-    let frame =
-      Wire.encode
-        (frame_error ~code:503 ~error:"conn-limit"
-           (Printf.sprintf "connection limit (%d) reached; retry later" t.cfg.max_conns))
-    in
-    (try ignore (Unix.write fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
-     with Unix.Unix_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  end
+  else if Hashtbl.length t.conns >= t.cfg.max_conns then
+    reject t fd
+      (Printf.sprintf "connection limit (%d) reached; retry later" t.cfg.max_conns)
   else begin
     Stdx.Trace.instant "daemon.accept";
     let now = Unix.gettimeofday () in
@@ -440,6 +472,22 @@ let admit t fd =
     | exception Unix.Unix_error _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   end
 
+(* The descriptor table is full and the pending connection stays in the
+   backlog, so the listener stays ready: answer it through the spare's
+   slot with a 503 and take the spare back, or, with no spare, stop
+   watching the listener until a connection closes. *)
+let at_descriptor_limit t =
+  (match t.spare with
+  | None -> ()
+  | Some spare -> (
+      (try Unix.close spare with Unix.Unix_error _ -> ());
+      t.spare <- None;
+      match Unix.accept ~cloexec:true t.listen_fd with
+      | fd, _ -> reject t fd "descriptor limit reached; retry later"
+      | exception Unix.Unix_error _ -> ()));
+  t.spare <- open_spare ();
+  if Option.is_none t.spare then pause_listener t
+
 let accept_burst t =
   let rec go n =
     if n > 0 then
@@ -449,7 +497,10 @@ let accept_burst t =
           go (n - 1)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n
-      (* Transient accept failure (ECONNABORTED, EMFILE, ...): drop. *)
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          at_descriptor_limit t;
+          if Option.is_some t.spare then go (n - 1)
+      (* Transient accept failure (ECONNABORTED, ...): drop. *)
       | exception Unix.Unix_error _ -> ()
   in
   go 64
@@ -568,13 +619,27 @@ let event_loop t =
   in
   loop ();
   close_listener t;
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.spare;
+  t.spare <- None;
   Poll.close t.poller
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+(* Descriptors beyond [max_conns] connections that the reserved table
+   leaves room for: the listener, wake pipe, epoll instance, spare and
+   the process's own files. *)
+let fd_headroom = 64
+let default_max_conns = 8192
+
+(* Grow the descriptor table for [max_conns] connections now, before the
+   daemon starts its first thread: with one thread the growth waits no
+   RCU grace period, and the accept path never grows it later. *)
+let reserve_descriptors max_conns =
+  ignore (Poll.reserve (Option.value max_conns ~default:default_max_conns + fd_headroom))
+
 let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?service
-    ?metrics ?(max_conns = 8192) ?(idle_timeout_s = 0.) ?(rate_limit = 0.)
+    ?metrics ?(max_conns = default_max_conns) ?(idle_timeout_s = 0.) ?(rate_limit = 0.)
     ?(keepalive = true) ?dispatch ~ahandle () =
   if max_conns < 1 then invalid_arg "Daemon: max_conns must be at least 1";
   (* A dead client mid-write must surface as EPIPE, not kill the process. *)
@@ -623,6 +688,8 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
          else 1000);
       next_sweep = 0.;
       listener_open = true;
+      spare = open_spare ();
+      listen_paused = false;
     }
   in
   t.ev_thread <- Some (Thread.create (fun () -> event_loop t) ());
@@ -630,6 +697,7 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
 
 let start_handler ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeout_s
     ?rate_limit ?keepalive ?(dispatch_threads = 16) ~handle () =
+  reserve_descriptors max_conns;
   let dispatch = Dispatch.create ~threads:dispatch_threads in
   let ahandle ~cancelled request k =
     Dispatch.submit dispatch (fun () -> k (handle ~cancelled request))
@@ -639,6 +707,7 @@ let start_handler ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeo
 
 let start ?host ?port ?workers ?capacity ?cache_entries ?cache_bytes ?max_conns
     ?idle_timeout_s ?rate_limit ?keepalive ?log () =
+  reserve_descriptors max_conns;
   let service = Service.create ?workers ?capacity ?cache_entries ?cache_bytes ?log () in
   start_async ?host ?port
     ~on_drain:(fun () -> Service.shutdown service)

@@ -24,7 +24,21 @@
     block and as a trace instant): [max_conns] (accept, best-effort
     503 [conn-limit] frame, close), [idle_timeout_s] (best-effort 408
     [idle-timeout] frame), [rate_limit] (in-order 429 [rate-limited]
-    replies; the connection survives), and TCP [keepalive]. *)
+    replies; the connection survives), and TCP [keepalive]. At the
+    process's open-files limit the daemon answers the same 503 through
+    a spare descriptor it holds for the purpose, rather than leave the
+    connection in the backlog and the listener ready.
+
+    {b Descriptor reservation.} {!start} and {!start_handler} first grow
+    the process's descriptor table to [max_conns + 64] slots, clamped to
+    the soft [RLIMIT_NOFILE] ({!Poll.reserve}); no descriptor of the
+    caller's is touched. Linux grows the table by doubling, and in a
+    process with more than one thread each doubling waits an RCU grace
+    period. Both functions start threads after the reservation, so
+    accepting a connection herd later never grows the table. The
+    precondition is that the caller has started no thread of its own
+    yet; an embedding process that already has threads pays one grace
+    period for the reservation instead of one per doubling. *)
 
 type t
 (** A running daemon: listener plus one event thread. *)
@@ -51,7 +65,9 @@ val start :
     idle connections; [rate_limit] (default 0 = off) is requests/second
     per connection; [keepalive] (default true) sets [SO_KEEPALIVE] on
     accepted sockets. Installs a [SIGPIPE] ignore (a dead client
-    mid-write must surface as [EPIPE]). *)
+    mid-write must surface as [EPIPE]). The first step, before
+    {!Service.create} spawns worker domains, reserves the descriptor
+    table for [max_conns] (see above). *)
 
 val start_handler :
   ?host:string ->
@@ -76,7 +92,9 @@ val start_handler :
     never raise (every failure should become an [ok:false] payload).
     [metrics] receives the connection gauges (pass the proxy's own
     accumulator so its `stats` sees them). [on_drain] runs once inside
-    {!wait} after the loop exits. *)
+    {!wait} after the loop exits. The first step, before the dispatch
+    pool starts its threads, reserves the descriptor table for
+    [max_conns] (see above). *)
 
 val port : t -> int
 (** The bound TCP port (kernel-chosen when [start ~port:0]). *)

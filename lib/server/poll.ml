@@ -38,3 +38,5 @@ let remove t fd =
 let wait t ~timeout_ms = epoll_wait t.epfd t.ready timeout_ms
 let key t i = t.ready.(2 * i)
 let events t i = t.ready.((2 * i) + 1)
+
+external reserve : int -> int = "sketchlb_reserve_fds"

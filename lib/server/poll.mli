@@ -63,3 +63,15 @@ val key : t -> int -> int
 
 val events : t -> int -> int
 (** Its readiness mask — test with [events land pollin <> 0] etc. *)
+
+val reserve : int -> int
+(** [reserve n] grows this process's descriptor table to hold at least
+    [n] descriptors, [n] clamped to the soft [RLIMIT_NOFILE], and returns
+    the count it now covers ([0] if it could not grow it). It opens no
+    descriptor that outlives the call and closes none of the caller's
+    ([fcntl(F_DUPFD_CLOEXEC)] on a throwaway descriptor, not [dup2]).
+
+    Why: Linux grows the table by doubling, and once a process has a
+    second thread each doubling waits an RCU grace period (about 14 ms
+    on a 2-vCPU VM). Reserved while the process has one thread, the table costs no
+    grace period, and later [accept]s never grow it. *)

@@ -1,4 +1,5 @@
-/* A minimal epoll(7) binding for the event-driven daemon core.
+/* A minimal epoll(7) binding for the event-driven daemon core, plus the
+ * descriptor-table reservation the daemon makes before its first thread.
  *
  * The OCaml standard library only exposes select(2), whose fd_set caps
  * out at FD_SETSIZE (1024 on Linux), and poll(2) makes the caller hand
@@ -16,7 +17,10 @@
  */
 
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <errno.h>
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
@@ -91,4 +95,41 @@ CAMLprim value sketchlb_epoll_constants(value unit)
   Store_field(res, 2, Val_int(EPOLLERR));
   Store_field(res, 3, Val_int(EPOLLHUP));
   CAMLreturn(res);
+}
+
+/* Grow the descriptor table to cover [want] descriptors (clamped to the
+ * soft RLIMIT_NOFILE) in one step, and return the table size reached.
+ *
+ * Linux grows a process's table by doubling inside the syscall that first
+ * needs a higher number (accept, open, ...).  Once the process has a
+ * second thread, each doubling waits out an RCU grace period
+ * (expand_fdtable's synchronize_rcu), about 14 ms on a 2-vCPU VM, so a
+ * server that lets accept grow the table from 64 to 8192 slots stalls
+ * seven times.  Called
+ * while the process still has one thread, the growth costs no grace
+ * period at all, and later accepts never grow the table.
+ *
+ * F_DUPFD takes the lowest free number >= the target, so unlike dup2 it
+ * never closes a descriptor that happens to be open there, and it fails
+ * cleanly (EMFILE/EINVAL) past the limit.  The throwaway descriptor is an
+ * epoll instance: it needs no file system path.  Best effort: 0 when the
+ * table could not be grown. */
+CAMLprim value sketchlb_reserve_fds(value v_want)
+{
+  struct rlimit rl;
+  long want = Long_val(v_want);
+  int probe, copy;
+
+  if (getrlimit(RLIMIT_NOFILE, &rl) == 0 && rl.rlim_cur != RLIM_INFINITY
+      && (rlim_t) want > rl.rlim_cur)
+    want = (long) rl.rlim_cur;
+  if (want < 1) return Val_int(0);
+  probe = epoll_create1(EPOLL_CLOEXEC);
+  if (probe < 0) return Val_int(0);
+  caml_enter_blocking_section();
+  copy = fcntl(probe, F_DUPFD_CLOEXEC, (int) (want - 1));
+  if (copy >= 0) close(copy);
+  close(probe);
+  caml_leave_blocking_section();
+  return Val_long(copy < 0 ? 0 : (long) copy + 1);
 }

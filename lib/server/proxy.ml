@@ -526,6 +526,8 @@ let start ?host ?port ?vnodes ?(health_interval_s = 2.0) ?shed_backoff_ms ?max_c
       ()
   in
   t.daemon <- Some daemon;
+  (* After [start_handler]: it reserves the descriptor table before any
+     thread exists, and this pinger would be one. *)
   t.pinger <-
     Some (Health.start_pinger t.health ~interval_s:health_interval_s ~ping:(ping_backend t));
   t

@@ -361,6 +361,9 @@ let simulate_key ~protocol ~graph ~seed =
     (T.string_of_json (Simulate.json_of_gspec graph))
     seed
 
+(* A wire graph spec that parses and is within the work bound. *)
+let admitted_gspec gj = Result.bind (Simulate.gspec_of_json gj) Simulate.within_work_bound
+
 (* The canonical cache key a compute request will be stored under — what
    the proxy consistent-hashes on, so every replica of a request lands on
    the backend already holding (or about to hold) its cache entry.
@@ -381,7 +384,7 @@ let request_key j =
   | Some "simulate" -> (
       match (str_field j "protocol", T.member "graph" j) with
       | Some name, Some gj -> (
-          match (List.assoc_opt name Simulate.protocols, Simulate.gspec_of_json gj) with
+          match (List.assoc_opt name Simulate.protocols, admitted_gspec gj) with
           | Some protocol, Ok graph when Simulate.compatible protocol graph ->
               let seed = Option.value ~default:7 (int_field j "seed") in
               Some (simulate_key ~protocol:name ~graph ~seed)
@@ -432,7 +435,7 @@ let handle_simulate t ~cancelled j ~k =
                   (String.concat ", " (List.map fst Simulate.protocols))))
       | Some _, None -> k (bad_request "simulate needs an object field \"graph\"")
       | Some protocol, Some gj -> (
-          match Simulate.gspec_of_json gj with
+          match admitted_gspec gj with
           | Error msg -> k (bad_request msg)
           | Ok graph when not (Simulate.compatible protocol graph) ->
               k

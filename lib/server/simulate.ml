@@ -104,6 +104,29 @@ let gspec_of_json j =
   | Some (T.Jstr k), _ -> Error (Printf.sprintf "unknown graph kind %S" k)
   | _ -> Error "graph spec needs a string field \"kind\""
 
+(* Admission by work: the n bounds above still let one spec hold the
+   daemon for minutes (complete n=4096 under hyper-trivial-mm ran 120 s
+   and 2.7 GB), so a spec is also bounded by the edge mass it implies —
+   hyperedge pins for [hyperk] — read off the spec alone, before any
+   build. 2^21 sits above every request the repository makes (gnp
+   n=2500, p=0.5 implies about 1.56M). *)
+let max_edge_mass = 1 lsl 21
+
+let edge_mass = function
+  | Complete n -> n * (n - 1) / 2
+  | Gnp { n; p } -> int_of_float (Float.ceil (p *. float_of_int (n * (n - 1) / 2)))
+  | Path n | Cycle n | Star n -> n
+  | Hyperk { m; k; _ } -> m * k
+
+let within_work_bound graph =
+  let mass = edge_mass graph in
+  if mass <= max_edge_mass then Ok graph
+  else
+    Error
+      (Printf.sprintf "graph %s implies an edge mass of %d; the work bound is %d"
+         (T.string_of_json (json_of_gspec graph))
+         mass max_edge_mass)
+
 (* ------------------------------------------------------------------ *)
 (* The protocol catalogue                                              *)
 

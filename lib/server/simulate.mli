@@ -58,6 +58,21 @@ val gspec_of_json : T.json -> (gspec, string) result
     bound. A [hyperk] spec also needs [m <= 65536] (the reason names
     ["m"]). *)
 
+val max_edge_mass : int
+(** The work bound, [2^21]: the most edge mass one simulate spec may
+    imply. *)
+
+val edge_mass : gspec -> int
+(** The edge mass a spec implies, from the spec alone: [n(n-1)/2] for
+    [complete], [ceil (p * n(n-1)/2)] for [gnp], [n] for [path], [cycle]
+    and [star], and [m * k] (hyperedge pins) for [hyperk]. *)
+
+val within_work_bound : gspec -> (gspec, string) result
+(** [Ok] the spec when its {!edge_mass} is at most {!max_edge_mass};
+    otherwise [Error] with a reason naming the mass and the bound. The
+    service checks this after {!gspec_of_json}, so an over-bound spec
+    is a 400 before anything is built. *)
+
 type graph_engine
 (** Which engine call computes a graph protocol (private). *)
 

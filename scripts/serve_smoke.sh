@@ -3,7 +3,8 @@
 # kernel-chosen port, fetch the catalogue, run the same experiment twice
 # (second response must be byte-identical and served from the cache),
 # check the stats counters say exactly that, then shut down cleanly and
-# require the process to actually exit.
+# require the process to actually exit. The daemon's descriptor table
+# must already be grown for its connection cap when it starts.
 #
 # Then the event engine at scale: `bench serve --connections 5000` holds
 # five thousand idle connections on the epoll loop (ulimit raised first,
@@ -52,6 +53,16 @@ done
 [ -s "$tmp/port" ] || fail "daemon never wrote its port file"
 port=$(cat "$tmp/port")
 echo "serve-smoke: daemon pid $daemon_pid on port $port"
+
+# The daemon grows its descriptor table for --max-conns (8192) plus 64
+# before it starts a thread, so accepting a herd never waits on the
+# kernel growing the table; FDSize in /proc shows the table's slots.
+want=8256
+limit=$(ulimit -n)
+if [ "$limit" != "unlimited" ] && [ "$limit" -lt "$want" ]; then want=$limit; fi
+fdsize=$(awk '/^FDSize:/ { print $2 }' "/proc/$daemon_pid/status")
+[ -n "$fdsize" ] || fail "no FDSize in /proc/$daemon_pid/status"
+[ "$fdsize" -ge "$want" ] || fail "descriptor table not reserved at start: FDSize $fdsize < $want"
 
 # Catalogue: must be ok and list the experiment we are about to run.
 "$SKETCHCTL" list -p "$port" >"$tmp/list.json"

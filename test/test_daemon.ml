@@ -155,6 +155,95 @@ let test_poll_registration () =
       checkb "still quiet after harmless removes" true (quiet ()))
 
 (* ------------------------------------------------------------------ *)
+(* The descriptor table                                                *)
+
+(* A line of a /proc/self file whose first words are [prefix]: its
+   remaining words. *)
+let proc_self_fields file prefix =
+  let words s =
+    String.map (function '\t' -> ' ' | c -> c) s
+    |> String.split_on_char ' ' |> List.filter (( <> ) "")
+  in
+  let skip = String.length prefix in
+  In_channel.with_open_text file (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | None -> Alcotest.failf "%s has no %S line" file prefix
+        | Some line when String.starts_with ~prefix line ->
+            words (String.sub line skip (String.length line - skip))
+        | Some _ -> go ()
+      in
+      go ())
+
+(* The slots the process's descriptor table has now. *)
+let fd_table_size () = int_of_string (List.hd (proc_self_fields "/proc/self/status" "FDSize:"))
+
+let soft_fd_limit () =
+  match proc_self_fields "/proc/self/limits" "Max open files" with
+  | "unlimited" :: _ -> max_int
+  | soft :: _ -> int_of_string soft
+  | [] -> Alcotest.fail "no soft open-files limit"
+
+(* Every open descriptor with what it refers to. The listing's own
+   directory descriptor is closed by the time it is read back, so it
+   drops out. *)
+let open_fds () =
+  List.filter_map
+    (fun name ->
+      match Unix.readlink ("/proc/self/fd/" ^ name) with
+      | target -> Some (int_of_string name, target)
+      | exception Unix.Unix_error _ -> None)
+    (Array.to_list (Sys.readdir "/proc/self/fd"))
+
+let fd_of_int (n : int) : Unix.file_descr = Obj.magic n (* Unix fds are ints *)
+
+(* [Daemon.start] grows the table for [max_conns] connections before it
+   starts a thread, so the accept path never waits out a grace period
+   growing it. It must open nothing that outlives the call beyond the
+   daemon's own descriptors, and close nothing of the caller's — also
+   not a descriptor sitting at the very number it reserves up to. This
+   case runs before any other starts a daemon in this process. *)
+let test_descriptor_table_reserved () =
+  let max_conns = 3000 in
+  let want = min (max_conns + 64) (soft_fd_limit ()) in
+  let start_stop () =
+    let d = Server.Daemon.start ~workers:1 ~capacity:4 ~max_conns () in
+    let size = fd_table_size () and fds = open_fds () in
+    Server.Daemon.stop ~abort_connections:true d;
+    Server.Daemon.wait d;
+    (size, fds)
+  in
+  let before = open_fds () in
+  let size, during = start_stop () in
+  checkb (Printf.sprintf "FDSize %d >= %d after start" size want) true (size >= want);
+  List.iter
+    (fun (fd, target) ->
+      checks (Printf.sprintf "fd %d untouched" fd) target
+        (Option.value (List.assoc_opt fd during) ~default:"(closed)"))
+    before;
+  let own = List.filter (fun (fd, _) -> not (List.mem_assoc fd before)) during in
+  let kind (_, target) =
+    match String.index_opt target ':' with Some i -> String.sub target 0 i | None -> target
+  in
+  checks "the daemon's own: listener, wake pipe, epoll, spare"
+    "/dev/null anon_inode pipe pipe socket"
+    (String.concat " " (List.sort compare (List.map kind own)));
+  checkb "all closed again after wait" true (open_fds () = before);
+  (* A descriptor already open at the top reserved number survives. *)
+  let r, w = Unix.pipe ~cloexec:true () in
+  let top = fd_of_int (want - 1) in
+  Unix.dup2 ~cloexec:true w top;
+  Unix.close w;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r; top ])
+    (fun () ->
+      ignore (start_stop ());
+      checki "descriptor at the reserved number still writes" 1
+        (try Unix.write_substring top "x" 0 1 with Unix.Unix_error _ -> 0);
+      checki "into the same pipe" 1 (Unix.read r (Bytes.create 4) 0 4))
+
+(* ------------------------------------------------------------------ *)
 (* Slowloris and pipelining                                            *)
 
 let test_slowloris () =
@@ -397,6 +486,56 @@ let test_max_conns_shedding () =
           in
           checkb "slot freed, admission recovers" true (admit_ping 50)))
 
+(* A full descriptor table leaves the connection in the backlog and the
+   listener ready; the daemon must answer it with the 503 conn-limit
+   frame through its spare descriptor, not spin on the listener, and
+   serve again once descriptors free up. The client shares the process,
+   so filling this process's table fills the daemon's. *)
+let test_descriptor_limit_503 () =
+  let soft = soft_fd_limit () in
+  if soft > 65536 then begin
+    Printf.printf "skipped: the soft open-files limit %s is above 65536, too many to fill\n"
+      (if soft = max_int then "(unlimited)" else string_of_int soft);
+    Alcotest.skip ()
+  end;
+  with_daemon ~workers:1 ~capacity:4 (fun _ port ->
+      let filler = ref [] in
+      let release () =
+        List.iter Unix.close !filler;
+        filler := []
+      in
+      Fun.protect ~finally:release (fun () ->
+          (try
+             while true do
+               filler := Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 :: !filler
+             done
+           with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
+          (* One free slot, for the client's socket. *)
+          (match !filler with
+          | fd :: rest ->
+              Unix.close fd;
+              filler := rest
+          | [] -> Alcotest.fail "could not fill the descriptor table");
+          let c = connect port in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close c with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.setsockopt_float c Unix.SO_RCVTIMEO 2.0;
+              match W.read_frame c with
+              | frame ->
+                  let j = T.json_of_string frame in
+                  checks "tagged conn-limit" "conn-limit" (error_tag j);
+                  checkb "code 503" true (T.member "code" j = Some (T.Jint 503))
+              | exception W.Closed -> Alcotest.fail "closed without a 503 frame"
+              | exception Unix.Unix_error (e, _, _) ->
+                  Alcotest.failf "no 503 frame within 2 s (%s)" (Unix.error_message e));
+          release ();
+          let reply =
+            Server.Client.with_connection ~port (fun cl ->
+                Server.Client.request cl "{\"op\":\"ping\"}")
+          in
+          checkb "serves a ping once descriptors are free" true (is_ok (T.json_of_string reply))))
+
 (* ------------------------------------------------------------------ *)
 (* FD_SETSIZE and EOF-driven cancellation                              *)
 
@@ -528,6 +667,11 @@ let () =
         ] );
       ( "poll",
         [ Alcotest.test_case "registration follows interest" `Quick test_poll_registration ] );
+      ( "descriptors",
+        [
+          Alcotest.test_case "descriptor table reserved at start" `Quick
+            test_descriptor_table_reserved;
+        ] );
       ( "connections",
         [
           Alcotest.test_case "slowloris byte-at-a-time" `Quick test_slowloris;
@@ -543,6 +687,7 @@ let () =
           Alcotest.test_case "idle timeout evicts with 408" `Quick test_idle_timeout_eviction;
           Alcotest.test_case "rate limit answers 429 and recovers" `Slow test_rate_limit_429;
           Alcotest.test_case "max conns sheds with 503" `Quick test_max_conns_shedding;
+          Alcotest.test_case "descriptor limit answers 503" `Quick test_descriptor_limit_503;
         ] );
       ( "cancellation",
         [

@@ -180,6 +180,11 @@ let is_ok j = T.member "ok" j = Some (T.Jbool true)
 let error_tag j = match T.member "error" j with Some (T.Jstr e) -> e | _ -> "?"
 let code_of j = match T.member "code" j with Some (T.Jint c) -> c | _ -> -1
 
+let contains s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  lsub = 0 || go 0
+
 let test_service_ping_version () =
   with_service (fun t ->
       let j = json t [ ("op", T.Jstr "ping") ] in
@@ -253,11 +258,6 @@ let test_service_errors () =
         "bad-request" 400;
       (let j = json t [ ("op", T.Jstr "simulate"); ("protocol", T.Jstr "psychic") ] in
        let msg = match T.member "msg" j with Some (T.Jstr m) -> m | _ -> "" in
-       let contains s sub =
-         let ls = String.length s and lsub = String.length sub in
-         let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-         lsub = 0 || go 0
-       in
        List.iter
          (fun (name, _) ->
            checkb ("unknown-protocol msg lists " ^ name) true (contains msg name))
@@ -349,6 +349,64 @@ let test_simulate_graph_n_bounds () =
           ("star", "n", (4096, 0), (4097, 0), 4096);
           ("hyperk", "n", (4096, 10), (4097, 10), 4096);
           ("hyperk", "m", (10, 65536), (10, 65537), 65536);
+        ])
+
+(* Admission by work: inside the n bounds a spec can still imply minutes
+   of compute (complete n=4096 ran 120 s under hyper-trivial-mm), so the
+   edge mass it implies is bounded too. Each probe is a 400 that names
+   the bound, answered at once; a spec at the bound is admitted. *)
+let test_simulate_work_bound () =
+  let module Sim = Server.Simulate in
+  let bound = Sim.max_edge_mass in
+  checki "bound is 2^21" (1 lsl 21) bound;
+  List.iter
+    (fun (name, g, mass) -> checki (name ^ " edge mass") mass (Sim.edge_mass g))
+    [
+      ("complete 4096", Sim.Complete 4096, 4096 * 4095 / 2);
+      ("gnp 2500 p=0.5", Sim.Gnp { n = 2500; p = 0.5 }, 1_561_875);
+      ("gnp 3 p=0.1", Sim.Gnp { n = 3; p = 0.1 }, 1);
+      ("path", Sim.Path 4096, 4096);
+      ("cycle", Sim.Cycle 7, 7);
+      ("star", Sim.Star 9, 9);
+      ("hyperk", Sim.Hyperk { n = 4096; m = 65536; k = 4096 }, 65536 * 4096);
+    ];
+  (* The bound itself is admitted, one past it is not. *)
+  let at_bound = Sim.Hyperk { n = 4096; m = 1024; k = 2048 } in
+  checkb "mass at the bound admitted" true (Result.is_ok (Sim.within_work_bound at_bound));
+  checkb "one hyperedge more refused" false
+    (Result.is_ok (Sim.within_work_bound (Sim.Hyperk { n = 4096; m = 1025; k = 2048 })));
+  checkb "test_daemon's slow simulate admitted" true
+    (Result.is_ok (Sim.within_work_bound (Sim.Gnp { n = 2500; p = 0.5 })));
+  let complete = T.Jobj [ ("kind", T.Jstr "complete"); ("n", T.Jint 4096) ] in
+  let hyperk =
+    T.Jobj
+      [ ("kind", T.Jstr "hyperk"); ("n", T.Jint 4096); ("m", T.Jint 65536); ("k", T.Jint 4096) ]
+  in
+  with_service (fun t ->
+      List.iter
+        (fun (protocol, graph) ->
+          let name = Printf.sprintf "%s on %s" protocol (T.string_of_json graph) in
+          let t0 = Unix.gettimeofday () in
+          let j =
+            json t [ ("op", T.Jstr "simulate"); ("protocol", T.Jstr protocol); ("graph", graph) ]
+          in
+          let dt = Unix.gettimeofday () -. t0 in
+          checki (name ^ " code") 400 (code_of j);
+          checks (name ^ " tag") "bad-request" (error_tag j);
+          let msg = match T.member "msg" j with Some (T.Jstr m) -> m | _ -> "" in
+          checkb (name ^ " names the bound: " ^ msg) true
+            (contains msg (Printf.sprintf "the work bound is %d" bound));
+          checkb (Printf.sprintf "%s answered in %.3f s" name dt) true (dt < 1.0);
+          checkb (name ^ " has no cache key") true
+            (S.request_key
+               (T.Jobj
+                  [ ("op", T.Jstr "simulate"); ("protocol", T.Jstr protocol); ("graph", graph) ])
+            = None))
+        [
+          ("hyper-trivial-mm", complete);
+          ("hyper-iterated-mm", complete);
+          ("trivial-mm", complete);
+          ("hyper-trivial-mm", hyperk);
         ])
 
 let smoke_run ?(extra = []) t =
@@ -871,6 +929,7 @@ let () =
           Alcotest.test_case "catalogue inputs on hyperk" `Quick test_service_catalogue_inputs;
           Alcotest.test_case "error taxonomy" `Quick test_service_errors;
           Alcotest.test_case "graph n bounds" `Quick test_simulate_graph_n_bounds;
+          Alcotest.test_case "simulate work bound" `Quick test_simulate_work_bound;
           Alcotest.test_case "cache determinism" `Quick test_service_cache_determinism;
           Alcotest.test_case "seed precedence" `Quick test_service_seed_precedence;
           Alcotest.test_case "simulate = library bits" `Quick test_service_simulate_bits;
