@@ -108,9 +108,10 @@ let micro_tests () =
     Test.make ~name:"F4:budget-protocol(m=25,b=64)"
       (Staged.stage (fun () ->
            ignore
-             (Sketchmodel.Model.run
-                (Protocols.Sampled_mm.protocol ~budget_bits:64
-                   ~strategy:Protocols.Sampled_mm.Uniform)
+             (Sketchmodel.Rounds.run
+                (Sketchmodel.Rounds.one_round
+                   (Protocols.Sampled_mm.protocol ~budget_bits:64
+                      ~strategy:Protocols.Sampled_mm.Uniform))
                 dmm25.Core.Hard_dist.graph coins)));
     Test.make ~name:"F5:info-accounting(micro,b=4)"
       (Staged.stage (fun () ->
@@ -167,7 +168,10 @@ let micro_tests () =
                     Protocols.Sampled_mm.protocol ~budget_bits:24
                       ~strategy:Protocols.Sampled_mm.Uniform
                   in
-                  let out, _ = Sketchmodel.Model.run p dmm.Core.Hard_dist.graph c in
+                  let out, _ =
+                    Sketchmodel.Rounds.run (Sketchmodel.Rounds.one_round p)
+                      dmm.Core.Hard_dist.graph c
+                  in
                   Dgraph.Matching.is_maximal dmm.Core.Hard_dist.graph out))));
     Test.make ~name:"T14:bcc-logn-mm(n=128)"
       (Staged.stage (fun () -> ignore (Protocols.Bcc_mm.run g128 coins)));

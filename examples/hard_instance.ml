@@ -60,14 +60,17 @@ let () =
       let protocol =
         Protocols.Sampled_mm.protocol ~budget_bits:budget ~strategy:Protocols.Sampled_mm.Uniform
       in
-      let output, msg_stats = Sketchmodel.Model.run protocol dmm.Core.Hard_dist.graph coins in
+      let output, msg_stats =
+        Sketchmodel.Rounds.run (Sketchmodel.Rounds.one_round protocol)
+          dmm.Core.Hard_dist.graph coins
+      in
       let out_set = Hashtbl.create 64 in
       List.iter (fun e -> Hashtbl.replace out_set e ()) output;
       let hit = List.length (List.filter (fun (_, e) -> Hashtbl.mem out_set e) surviving) in
       Printf.printf "  b=%4d bits: recovered %d/%d hidden edges, maximal=%b (max msg=%d bits)\n"
         budget hit (List.length surviving)
         (Dgraph.Matching.is_maximal dmm.Core.Hard_dist.graph output)
-        msg_stats.Sketchmodel.Model.max_bits)
+        msg_stats.Sketchmodel.Rounds.max_bits)
     [ 8; 32; 128; 512 ]);
 
   print_endline

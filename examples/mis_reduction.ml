@@ -64,9 +64,10 @@ let () =
   Printf.printf
     "\nend-to-end with the trivial MIS sketch: complete=%b\n\
     \  per-H-player max %d bits -> per-G-player max %d bits (blow-up %.2fx <= 2)\n"
-    verdict2.Core.Reduction.complete h_cost.Sketchmodel.Model.max_bits
-    g_cost.Sketchmodel.Model.max_bits
-    (float_of_int g_cost.Sketchmodel.Model.max_bits /. float_of_int h_cost.Sketchmodel.Model.max_bits);
+    verdict2.Core.Reduction.complete h_cost.Sketchmodel.Rounds.max_bits
+    g_cost.Sketchmodel.Rounds.max_bits
+    (float_of_int g_cost.Sketchmodel.Rounds.max_bits
+    /. float_of_int h_cost.Sketchmodel.Rounds.max_bits);
 
   print_endline
     "\nTheorem 2 follows: an MIS sketch of o(sqrt n) bits would yield a maximal-matching\n\

@@ -36,7 +36,7 @@ let () =
   let forest, stats = stage "agm-forest" (fun () -> Agm.Spanning_forest.run g coins) in
   Printf.printf "AGM spanning forest: %d edges, valid=%b\n" (List.length forest)
     (Dgraph.Components.is_spanning_forest g forest);
-  Format.printf "  cost: %a@." Sketchmodel.Model.pp_stats stats;
+  Format.printf "  cost: %a@." Sketchmodel.Rounds.pp_stats stats;
 
   (* 2. (Delta+1)-coloring. *)
   let outcome, stats = stage "palette-coloring" (fun () -> Coloring.Palette.run g coins) in
@@ -47,15 +47,16 @@ let () =
         (Coloring.Palette.max_color colors + 1)
         (Dgraph.Graph.max_degree g + 1)
   | None -> print_endline "palette coloring: failed (rerun with larger lists)");
-  Format.printf "  cost: %a@." Sketchmodel.Model.pp_stats stats;
+  Format.printf "  cost: %a@." Sketchmodel.Rounds.pp_stats stats;
 
   (* 3. Maximal matching the only way one round allows: send everything. *)
   let matching, stats =
-    stage "trivial-mm" (fun () -> Sketchmodel.Model.run Protocols.Trivial.mm g coins)
+    stage "trivial-mm" (fun () ->
+        Sketchmodel.Rounds.run (Sketchmodel.Rounds.one_round Protocols.Trivial.mm) g coins)
   in
   Printf.printf "trivial maximal matching: %d edges, maximal=%b\n" (List.length matching)
     (Dgraph.Matching.is_maximal g matching);
-  Format.printf "  cost: %a@." Sketchmodel.Model.pp_stats stats;
+  Format.printf "  cost: %a@." Sketchmodel.Rounds.pp_stats stats;
 
   print_endline
     "\nThe paper proves the third cost is unavoidable in one round: any maximal-matching\n\

@@ -36,7 +36,7 @@ let () =
     (match result.Agm.Bridge_demo.bridge with
     | Some (u, v) -> Printf.sprintf "(%d, %d)" u v
     | None -> "nothing")
-    result.Agm.Bridge_demo.stats.Sketchmodel.Model.max_bits;
+    result.Agm.Bridge_demo.stats.Sketchmodel.Rounds.max_bits;
 
   (* --- 2. Connectivity --- *)
   print_endline "\n2. Component counting from AGM sketches";
@@ -50,7 +50,7 @@ let () =
   in
   let _, truth = Dgraph.Components.components g in
   Printf.printf "   true components=%d decoded=%d (max sketch %d bits for n=%d)\n" truth decoded
-    stats.Sketchmodel.Model.max_bits (Dgraph.Graph.n g);
+    stats.Sketchmodel.Rounds.max_bits (Dgraph.Graph.n g);
 
   (* --- 3. Two rounds --- *)
   print_endline "\n3. One extra round: Otilde(sqrt n) maximal matching and MIS";
@@ -74,7 +74,7 @@ let () =
   let hcoins = Sketchmodel.Public_coins.create 71 in
   let triv, triv_stats = stage "hyper-trivial-mm" (fun () -> Protocols.Hyper_mm.run_trivial h hcoins) in
   Printf.printf "   trivial MM   : |M|=%d  max sketch %d bits (one round)\n" (List.length triv)
-    triv_stats.Sketchmodel.Model.max_bits;
+    triv_stats.Sketchmodel.Rounds.max_bits;
   let it, it_stats = stage "hyper-iterated-mm" (fun () -> Protocols.Hyper_mm.run_iterated h hcoins) in
   Printf.printf "   iterated MM  : |M|=%d  max sketch %d bits over %d rounds (bcast %d bits)\n"
     (List.length it) it_stats.Sketchmodel.Rounds.max_bits

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Graph = Dgraph.Graph
 module Writer = Stdx.Bitbuf.Writer
@@ -6,7 +7,7 @@ module Reader = Stdx.Bitbuf.Reader
 
 type result = {
   bridge : Graph.edge option;
-  stats : Model.stats;
+  stats : Rounds.stats;
   partition_found : bool;
 }
 
@@ -97,7 +98,7 @@ let protocol ~n ~samples_per_vertex =
 
 let run g ~samples_per_vertex coins =
   let (bridge, partition_found), stats =
-    Model.run (protocol ~n:(Graph.n g) ~samples_per_vertex) g coins
+    Rounds.run (Rounds.one_round (protocol ~n:(Graph.n g) ~samples_per_vertex)) g coins
   in
   { bridge; stats; partition_found }
 

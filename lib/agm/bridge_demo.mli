@@ -13,7 +13,7 @@
 
 type result = {
   bridge : Dgraph.Graph.edge option;  (** referee's answer *)
-  stats : Sketchmodel.Model.stats;
+  stats : Sketchmodel.Rounds.stats;
   partition_found : bool;  (** whether the sampled subgraph had 2 clouds *)
 }
 

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module SF = Spanning_forest
 module L0 = Linear_sketch.L0_sampler
@@ -79,7 +80,7 @@ let forests_protocol ?(config = SF.default_config) ~n ~k () =
   }
 
 let k_forests ?(config = SF.default_config) g ~k coins =
-  Model.run (forests_protocol ~config ~n:(Graph.n g) ~k ()) g coins
+  Rounds.run (Rounds.one_round (forests_protocol ~config ~n:(Graph.n g) ~k ())) g coins
 
 let certificate_valid g ~k cert =
   Array.length cert.forests = k
@@ -185,7 +186,7 @@ let bipartiteness_protocol ?(config = SF.default_config) ~n () =
   }
 
 let is_bipartite_via_sketches ?(config = SF.default_config) g coins =
-  Model.run (bipartiteness_protocol ~config ~n:(Graph.n g) ()) g coins
+  Rounds.run (Rounds.one_round (bipartiteness_protocol ~config ~n:(Graph.n g) ())) g coins
 
 let is_bipartite_exact g =
   let n = Graph.n g in

@@ -32,7 +32,7 @@ val k_forests :
   Dgraph.Graph.t ->
   k:int ->
   Sketchmodel.Public_coins.t ->
-  certificate * Sketchmodel.Model.stats
+  certificate * Sketchmodel.Rounds.stats
 
 val certificate_valid : Dgraph.Graph.t -> k:int -> certificate -> bool
 (** The forests are edge-disjoint subforests of [G], each [F_j] spanning in
@@ -50,7 +50,7 @@ val is_bipartite_via_sketches :
   ?config:Spanning_forest.config ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  bool * Sketchmodel.Model.stats
+  bool * Sketchmodel.Rounds.stats
 
 val is_bipartite_exact : Dgraph.Graph.t -> bool
 (** BFS 2-coloring; the ground-truth oracle. *)

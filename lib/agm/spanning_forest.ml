@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module L0 = Linear_sketch.L0_sampler
 
@@ -141,7 +142,7 @@ let protocol ?(config = default_config) ~n () =
   }
 
 let run ?(config = default_config) g coins =
-  Model.run (protocol ~config ~n:(Dgraph.Graph.n g) ()) g coins
+  Rounds.run (Rounds.one_round (protocol ~config ~n:(Dgraph.Graph.n g) ())) g coins
 
 let connected_components ?(config = default_config) g coins =
   let forest, stats = run ~config g coins in

@@ -27,14 +27,14 @@ val run :
   ?config:config ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Graph.edge list * Sketchmodel.Model.stats
-(** Convenience wrapper around {!Sketchmodel.Model.run}. *)
+  Dgraph.Graph.edge list * Sketchmodel.Rounds.stats
+(** {!Sketchmodel.Rounds.run} of {!protocol}, lifted to one round. *)
 
 val connected_components :
   ?config:config ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  int * Sketchmodel.Model.stats
+  int * Sketchmodel.Rounds.stats
 (** Number of connected components according to the decoded forest. *)
 
 (** {1 Low-level pieces}

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Graph = Dgraph.Graph
 module Writer = Stdx.Bitbuf.Writer
@@ -117,7 +118,7 @@ let run g ?list_size ?(restarts = 10) coins =
     | Some s -> s
     | None -> int_of_float (ceil (4. *. log (float_of_int (n + 1)))) + 4
   in
-  Model.run (protocol ~n ~delta ~list_size ~restarts) g coins
+  Rounds.run (Rounds.one_round (protocol ~n ~delta ~list_size ~restarts)) g coins
 
 let is_proper g colors =
   Array.length colors = Graph.n g

@@ -26,7 +26,7 @@ val run :
   ?list_size:int ->
   ?restarts:int ->
   Sketchmodel.Public_coins.t ->
-  outcome * Sketchmodel.Model.stats
+  outcome * Sketchmodel.Rounds.stats
 (** Computes [Δ] from the graph (the promise), runs the one-round protocol,
     and returns the referee's outcome. Default [list_size] is
     [⌈4·ln(n+1)⌉ + 4], default [restarts] 10. *)

@@ -4,7 +4,7 @@
 module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 
 type row = { an : int; abudget : int; ratio_mean : float; ratio_min : float }
@@ -23,7 +23,7 @@ let compute ~ns ~budgets ~trials ~seed =
                   Protocols.Sampled_mm.protocol ~budget_bits:budget
                     ~strategy:Protocols.Sampled_mm.Uniform
                 in
-                let output, _ = Model.run protocol g coins in
+                let output, _ = Rounds.run (Rounds.one_round protocol) g coins in
                 let valid = List.filter (fun (u, v) -> Graph.mem_edge g u v) output in
                 let opt = Dgraph.Blossom.maximum_matching_size g in
                 if opt = 0 then 1.

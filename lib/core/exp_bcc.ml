@@ -2,7 +2,7 @@
 
 module T = Report.Tabular
 module R = Exp_registry
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Rs = Rsgraph.Rs_graph
 
@@ -34,7 +34,8 @@ let compute ~ms ~trials ~seed =
             ~strategy:Protocols.Sampled_mm.Uniform
         in
         let out, _ =
-          Model.run one_round g (Public_coins.create (Stdx.Hashing.mix64 (seed + (i * 71))))
+          Rounds.run (Rounds.one_round one_round) g
+            (Public_coins.create (Stdx.Hashing.mix64 (seed + (i * 71))))
         in
         if Dgraph.Matching.is_maximal g out then incr successes
       done;

@@ -3,7 +3,7 @@
 
 module T = Report.Tabular
 module R = Exp_registry
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 
 type row = { half : int; samples_per_vertex : int; max_bits : int; success : float }
@@ -22,7 +22,8 @@ let compute ~halves ~samples ~trials ~seed =
             Agm.Bridge_demo.run g ~samples_per_vertex:s
               (Public_coins.create (Stdx.Hashing.mix64 (seed * 3 + half)))
           in
-          { half; samples_per_vertex = s; max_bits = result.Agm.Bridge_demo.stats.Model.max_bits; success })
+          let max_bits = result.Agm.Bridge_demo.stats.Rounds.max_bits in
+          { half; samples_per_vertex = s; max_bits; success })
         samples)
     halves
 

@@ -5,6 +5,7 @@ module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Rs = Rsgraph.Rs_graph
 module Params = Rsgraph.Params
@@ -87,7 +88,8 @@ let compute ?jobs ~m ?k ~budgets ~trials ~seed () =
     let per_instance =
       Stdx.Parallel.map ?jobs
         (fun (dmm, coins) ->
-          let output, _stats = Model.run (make_protocol dmm) dmm.Hard_dist.graph coins in
+          let g = dmm.Hard_dist.graph in
+          let output, _ = Rounds.run (Rounds.one_round (make_protocol dmm)) g coins in
           let special = List.map snd (Hard_dist.surviving_special dmm) in
           let out_set = edge_table output in
           let hit = List.length (List.filter (fun e -> Hashtbl.mem out_set e) special) in
@@ -132,8 +134,9 @@ let compute ?jobs ~m ?k ~budgets ~trials ~seed () =
     let per_instance =
       Stdx.Parallel.map ?jobs
         (fun (dmm, coins) ->
-          let output, stats = Model.run (oracle_protocol dmm) dmm.Hard_dist.graph coins in
-          (stats.Model.max_bits, relaxed_ok dmm output))
+          let g = dmm.Hard_dist.graph in
+          let output, stats = Rounds.run (Rounds.one_round (oracle_protocol dmm)) g coins in
+          (stats.Rounds.max_bits, relaxed_ok dmm output))
         instances
     in
     let hits = ref 0 in

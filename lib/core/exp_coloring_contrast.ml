@@ -4,7 +4,7 @@
 module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 
 type row = {
@@ -24,15 +24,15 @@ let compute ~ns ~seed =
       let g = Dgraph.Gen.gnp rng n 0.5 in
       let coins = Public_coins.create (Stdx.Hashing.mix64 (seed * 11 + n)) in
       let outcome, stats = Coloring.Palette.run g coins in
-      let (), trivial_stats = Model.run Protocols.Trivial.baseline g coins in
+      let (), trivial_stats = Rounds.run (Rounds.one_round Protocols.Trivial.baseline) g coins in
       let delta = Graph.max_degree g in
       {
         cn = n;
         delta;
         list_size = int_of_float (ceil (4. *. log (float_of_int (n + 1)))) + 4;
-        palette_bits = stats.Model.max_bits;
-        full_bits = trivial_stats.Model.max_bits;
-        ratio = float_of_int stats.Model.max_bits /. float_of_int trivial_stats.Model.max_bits;
+        palette_bits = stats.Rounds.max_bits;
+        full_bits = trivial_stats.Rounds.max_bits;
+        ratio = float_of_int stats.Rounds.max_bits /. float_of_int trivial_stats.Rounds.max_bits;
         proper =
           (match outcome.Coloring.Palette.coloring with
           | Some colors ->

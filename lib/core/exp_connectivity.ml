@@ -4,7 +4,7 @@
 module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 
 type row = {
@@ -43,7 +43,7 @@ let compute ~seed =
         truth = (let c = Dgraph.Mincut.min_cut g in if c = max_int then 0 else min k c);
         bipartite_sketch = bip;
         bipartite_truth = Agm.Connectivity.is_bipartite_exact g;
-        conn_bits = stats.Model.max_bits;
+        conn_bits = stats.Rounds.max_bits;
       })
     workloads
 

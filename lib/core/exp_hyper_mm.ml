@@ -48,7 +48,7 @@ let compute ~n ~m ~ks ~seed =
       {
         k;
         hm = H.m h;
-        triv_bits = triv_stats.Sketchmodel.Model.max_bits;
+        triv_bits = triv_stats.Sketchmodel.Rounds.max_bits;
         triv_ok = matching_ok h triv;
         msize = List.length it;
         it_rounds = it_stats.Sketchmodel.Rounds.rounds;

@@ -3,7 +3,7 @@
 module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Rs = Rsgraph.Rs_graph
 
@@ -44,7 +44,7 @@ let compute ~ms ~samples ~seed =
              /. float_of_int (max 1 verdict.Reduction.output_size));
         ratio :=
           !ratio
-          +. (float_of_int g_stats.Model.max_bits /. float_of_int h_stats.Model.max_bits);
+          +. (float_of_int g_stats.Rounds.max_bits /. float_of_int h_stats.Rounds.max_bits);
         (* min-rule ablation on a referee-side exact MIS *)
         let mis = solver (Reduction.build_h dmm) in
         let mn =

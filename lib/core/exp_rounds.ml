@@ -31,7 +31,7 @@ let compute ~ms ~seed =
       {
         rm = m;
         one_round_undominated = undominated;
-        one_round_bits = one_stats.Sketchmodel.Model.max_bits;
+        one_round_bits = one_stats.Sketchmodel.Rounds.max_bits;
         two_round_mm_maximal = Dgraph.Matching.is_maximal g mm;
         two_round_mm_bits = mm_stats.Sketchmodel.Rounds.max_bits;
         two_round_mis_maximal = Dgraph.Mis.is_maximal g mis;

@@ -4,7 +4,7 @@
 module T = Report.Tabular
 module R = Exp_registry
 module Graph = Dgraph.Graph
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 
 type row = {
@@ -31,21 +31,21 @@ let compute ~ns ~seed =
       let coins = Public_coins.create (Stdx.Hashing.mix64 (seed * 7 + n)) in
       let forest, agm_stats = Agm.Spanning_forest.run g coins in
       let color_outcome, color_stats = Coloring.Palette.run g coins in
-      let (), trivial_stats = Model.run Protocols.Trivial.baseline g coins in
+      let (), trivial_stats = Rounds.run (Rounds.one_round Protocols.Trivial.baseline) g coins in
       let mm2, mm2_stats = Protocols.Two_round_mm.run g coins in
       let mis2, mis2_stats = Protocols.Two_round_mis.run g coins in
       {
         n;
-        agm_forest_bits = agm_stats.Model.max_bits;
+        agm_forest_bits = agm_stats.Rounds.max_bits;
         agm_ok = Dgraph.Components.is_spanning_forest g forest;
-        coloring_bits = color_stats.Model.max_bits;
+        coloring_bits = color_stats.Rounds.max_bits;
         coloring_ok =
           (match color_outcome.Coloring.Palette.coloring with
           | Some colors ->
               Array.length colors = n
               && Graph.fold_edges (fun u v acc -> acc && colors.(u) <> colors.(v)) g true
           | None -> false);
-        trivial_mm_bits = trivial_stats.Model.max_bits;
+        trivial_mm_bits = trivial_stats.Rounds.max_bits;
         two_round_mm_bits = mm2_stats.Sketchmodel.Rounds.max_bits;
         two_round_mm_ok = Dgraph.Matching.is_maximal g mm2;
         two_round_mis_bits = mis2_stats.Sketchmodel.Rounds.max_bits;

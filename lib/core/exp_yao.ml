@@ -3,7 +3,7 @@
 
 module T = Report.Tabular
 module R = Exp_registry
-module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Rs = Rsgraph.Rs_graph
 
 type row = {
@@ -29,7 +29,7 @@ let compute ~m ~budgets ~instances ~seeds ~seed =
               Protocols.Sampled_mm.protocol ~budget_bits:budget
                 ~strategy:Protocols.Sampled_mm.Uniform
             in
-            let out, _ = Model.run p dmm.Hard_dist.graph coins in
+            let out, _ = Rounds.run (Rounds.one_round p) dmm.Hard_dist.graph coins in
             Dgraph.Matching.is_maximal dmm.Hard_dist.graph out)
       in
       {

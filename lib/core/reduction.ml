@@ -106,13 +106,16 @@ let end_to_end_cost dmm protocol coins =
   (* Each G-player u simulates both u_l and u_r; its message is the
      concatenation of the two H-messages. *)
   let g_player_bits = Array.init n (fun u -> sizes.(u) + sizes.(n + u)) in
-  let stats_of arr players =
-    let total = Array.fold_left ( + ) 0 arr in
+  let one_round_stats sizes =
+    let max_bits = Array.fold_left max 0 sizes and total_bits = Array.fold_left ( + ) 0 sizes in
     {
-      Model.max_bits = Array.fold_left max 0 arr;
-      total_bits = total;
-      avg_bits = float_of_int total /. float_of_int players;
-      players;
+      Sketchmodel.Rounds.rounds = 1;
+      max_bits;
+      total_bits;
+      broadcast_bits = 0;
+      round_max = [| max_bits |];
+      round_total = [| total_bits |];
+      round_broadcast = [| 0 |];
     }
   in
-  (check dmm mis, stats_of g_player_bits n, stats_of sizes n2)
+  (check dmm mis, one_round_stats g_player_bits, one_round_stats sizes)

@@ -58,9 +58,10 @@ val end_to_end_cost :
   Hard_dist.t ->
   Dgraph.Mis.t Sketchmodel.Model.protocol ->
   Sketchmodel.Public_coins.t ->
-  verdict * Sketchmodel.Model.stats * Sketchmodel.Model.stats
+  verdict * Sketchmodel.Rounds.stats * Sketchmodel.Rounds.stats
 (** Run an actual one-round MIS sketching protocol on [H], with each
     [G]-vertex simulating both of its copies (message = concatenation, as
     in the paper's cost argument). Returns the verdict, the per-[G]-player
     cost of the simulation, and the per-[H]-player cost of the underlying
-    MIS protocol — the ratio is the factor-2 blow-up of Theorem 2. *)
+    MIS protocol, both one-round — the ratio is the factor-2 blow-up of
+    Theorem 2. *)

@@ -117,7 +117,7 @@ let luby ~n =
   }
 
 let run_local_minima h coins =
-  Model.run_views local_minima ~n:(H.n h) (Hyper_views.views h) coins
+  Rounds.run_views (Rounds.one_round local_minima) ~n:(H.n h) (Hyper_views.views h) coins
 
 let run_luby h coins =
   let n = H.n h in

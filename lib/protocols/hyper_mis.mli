@@ -32,8 +32,8 @@ val luby : n:int -> (Hyper_views.view, state, state) Sketchmodel.Rounds.protocol
 val run_local_minima :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Hmis.t * Sketchmodel.Model.stats
-(** {!Sketchmodel.Model.run_views} of {!local_minima} on the honest
+  Dgraph.Hmis.t * Sketchmodel.Rounds.stats
+(** {!Sketchmodel.Rounds.run_views} of {!local_minima} on the honest
     views. *)
 
 val run_luby :

@@ -122,7 +122,8 @@ let iterated ~n =
         w);
   }
 
-let run_trivial h coins = Model.run_views trivial ~n:(H.n h) (Hyper_views.views h) coins
+let run_trivial h coins =
+  Rounds.run_views (Rounds.one_round trivial) ~n:(H.n h) (Hyper_views.views h) coins
 
 let run_iterated h coins =
   let state, stats = Hyper_views.iterate (iterated ~n:(H.n h)) h coins in

@@ -32,8 +32,8 @@ val iterated : n:int -> (Hyper_views.view, state, state) Sketchmodel.Rounds.prot
 val run_trivial :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  int array list * Sketchmodel.Model.stats
-(** {!Sketchmodel.Model.run_views} of {!trivial} on the honest views. *)
+  int array list * Sketchmodel.Rounds.stats
+(** {!Sketchmodel.Rounds.run_views} of {!trivial} on the honest views. *)
 
 val run_iterated :
   Dgraph.Hypergraph.t ->

@@ -4,7 +4,7 @@
    id, and the full pin set of every incident hyperedge — the hypergraph
    analogue of [Model.view]'s sorted neighbour list (for 2-uniform
    hypergraphs the two views carry the same information). Protocols run
-   on the graph engines, [Model.run_views] and [Rounds.run_views]. *)
+   on the graph engine, [Rounds.run_views]. *)
 
 module Hypergraph = Dgraph.Hypergraph
 module Rounds = Sketchmodel.Rounds

@@ -3,11 +3,11 @@
     One player per vertex, as in {!Sketchmodel.Model}; a player's whole
     input is the vertex/edge counts, its own id, and the full pin set of
     every incident hyperedge (for 2-uniform hypergraphs this is the
-    graph view). The engines are the graph ones, run on these views: a
+    graph view). The engine is the graph one, run on these views: a
     one-round protocol is a [(view, 'a) Sketchmodel.Model.protocol_over]
-    run by {!Sketchmodel.Model.run_views}, a multi-round one a
-    [(view, 'b, 'a) Sketchmodel.Rounds.protocol_over] run by
-    {!iterate}. *)
+    run by {!Sketchmodel.Rounds.run_views} after {!Sketchmodel.Rounds.one_round},
+    a multi-round one a [(view, 'b, 'a) Sketchmodel.Rounds.protocol_over]
+    run by {!iterate}. *)
 
 type view = {
   n : int;  (** number of vertices *)

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Graph = Dgraph.Graph
 module Writer = Stdx.Bitbuf.Writer
@@ -31,7 +32,7 @@ let local_minima =
   }
 
 let undominated_fraction g coins =
-  let set, stats = Model.run local_minima g coins in
+  let set, stats = Rounds.run (Rounds.one_round local_minima) g coins in
   let n = Graph.n g in
   let covered = Stdx.Bitset.create n in
   List.iter

@@ -20,7 +20,7 @@ val local_minima : Dgraph.Mis.t Sketchmodel.Model.protocol
 (** One bit per player; output independent, rarely maximal. *)
 
 val undominated_fraction :
-  Dgraph.Graph.t -> Sketchmodel.Public_coins.t -> float * Sketchmodel.Model.stats
+  Dgraph.Graph.t -> Sketchmodel.Public_coins.t -> float * Sketchmodel.Rounds.stats
 (** Run {!local_minima}; return the fraction of vertices that are neither
     in the output nor adjacent to it (0 would mean maximal). *)
 

@@ -11,7 +11,7 @@ val mis : Dgraph.Mis.t Sketchmodel.Model.protocol
 
 val baseline : unit Sketchmodel.Model.protocol
 (** The trivial players with a referee that decodes nothing. For tables
-    that report only the trivial protocol's bits: {!Sketchmodel.Model.run}
+    that report only the trivial protocol's bits: {!Sketchmodel.Rounds.run}
     accounts them exactly as for {!mm} and {!mis}, without rebuilding the
     graph or solving anything. *)
 

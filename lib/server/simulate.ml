@@ -2,12 +2,12 @@
    graph and report its exact bit accounting.
 
    This is the served version of what the repo's experiments do in-process
-   — the same engines, [Sketchmodel.Model] for one round and
-   [Sketchmodel.Rounds] for every multi-round protocol (graph or
-   hypergraph views), with the same generators and the same coins, so a
-   response's [max_bits] and [total_bits] are {e exactly} the numbers an
-   in-process run of the same (protocol, graph, seed) triple produces;
-   [test_server] pins that.
+   — the same engine, [Sketchmodel.Rounds], for every protocol (one
+   round or many, graph or hypergraph views; a one-round protocol is
+   lifted by [Rounds.one_round]), with the same generators and the same
+   coins, so a response's [max_bits] and [total_bits] are {e exactly} the
+   numbers an in-process run of the same (protocol, graph, seed) triple
+   produces; [test_server] pins that.
 
    Derivations are fixed and documented in the mli: the graph generator is
    [Prng.split (Prng.create seed) 1], the coins are
@@ -15,7 +15,6 @@
    simulate responses are cacheable like experiment runs. *)
 
 module T = Report.Tabular
-module Model = Sketchmodel.Model
 module Rounds = Sketchmodel.Rounds
 
 type gspec =
@@ -229,14 +228,19 @@ let mis_output g s =
       ("maximal", T.Jbool v.Dgraph.Mis.maximal);
     ]
 
-let one_round_stats (s : Model.stats) =
+(* [players] is the vertex count, the number of views for graphs and
+   hypergraphs alike; an empty input averages to 0, not NaN. *)
+let one_round_stats ~players (s : Rounds.stats) =
+  let avg_bits =
+    if players = 0 then 0. else float_of_int s.Rounds.total_bits /. float_of_int players
+  in
   T.Jobj
     [
-      ("rounds", T.Jint 1);
-      ("players", T.Jint s.Model.players);
-      ("max_bits", T.Jint s.Model.max_bits);
-      ("total_bits", T.Jint s.Model.total_bits);
-      ("avg_bits", T.Jfloat s.Model.avg_bits);
+      ("rounds", T.Jint s.Rounds.rounds);
+      ("players", T.Jint players);
+      ("max_bits", T.Jint s.Rounds.max_bits);
+      ("total_bits", T.Jint s.Rounds.total_bits);
+      ("avg_bits", T.Jfloat avg_bits);
     ]
 
 let jarr_of_ints a = T.Jarr (Array.to_list (Array.map (fun i -> T.Jint i) a))
@@ -326,17 +330,19 @@ let run spec =
         (* Raises [Invalid_argument] on a [Hyperk] spec: the pair is not
            {!compatible}. *)
         let g = graph_of_spec spec in
+        let players = Dgraph.Graph.n g in
+        let one_round p = Rounds.run (Rounds.one_round p) g coins in
         let output, stats =
           match engine with
           | Trivial_mm ->
-              let m, s = Model.run Protocols.Trivial.mm g coins in
-              (mm_output g m, one_round_stats s)
+              let m, s = one_round Protocols.Trivial.mm in
+              (mm_output g m, one_round_stats ~players s)
           | Trivial_mis ->
-              let mis, s = Model.run Protocols.Trivial.mis g coins in
-              (mis_output g mis, one_round_stats s)
+              let mis, s = one_round Protocols.Trivial.mis in
+              (mis_output g mis, one_round_stats ~players s)
           | Local_minima ->
-              let mis, s = Model.run Protocols.One_round_mis.local_minima g coins in
-              (mis_output g mis, one_round_stats s)
+              let mis, s = one_round Protocols.One_round_mis.local_minima in
+              (mis_output g mis, one_round_stats ~players s)
           | Two_round_mm ->
               let m, s = Protocols.Two_round_mm.run g coins in
               (mm_output g m, two_round_stats s)
@@ -357,17 +363,18 @@ let run spec =
         (Dgraph.Graph.n g, Dgraph.Graph.m g, output, stats)
     | Hypergraph engine ->
         let h = hypergraph_of_spec spec in
+        let players = Dgraph.Hypergraph.n h in
         let output, stats =
           match engine with
           | Hyper_trivial_mm ->
               let m, s = Protocols.Hyper_mm.run_trivial h coins in
-              (hyper_mm_output h m, one_round_stats s)
+              (hyper_mm_output h m, one_round_stats ~players s)
           | Hyper_iterated_mm ->
               let m, s = Protocols.Hyper_mm.run_iterated h coins in
               (hyper_mm_output h m, hyper_rounds_stats s)
           | Hyper_local_minima_mis ->
               let mis, s = Protocols.Hyper_mis.run_local_minima h coins in
-              (hyper_mis_output h mis, one_round_stats s)
+              (hyper_mis_output h mis, one_round_stats ~players s)
           | Hyper_luby_mis ->
               let mis, s = Protocols.Hyper_mis.run_luby h coins in
               (hyper_mis_output h mis, hyper_rounds_stats s)

@@ -6,9 +6,9 @@
     [Stdx.Prng.split (Stdx.Prng.create s) 1] and the public coins are
     [Sketchmodel.Public_coins.create s]. An in-process run of the same
     protocol over {!graph_of_spec} (or {!hypergraph_of_spec}) with
-    {!coins} — [Sketchmodel.Model] for one round, [Sketchmodel.Rounds]
-    for more — produces {e exactly} the [max_bits] / [total_bits] the
-    response reports. *)
+    {!coins} on [Sketchmodel.Rounds] (one-round protocols lifted by
+    [Rounds.one_round]) produces {e exactly} the [max_bits] /
+    [total_bits] the response reports. *)
 
 module T = Report.Tabular
 

@@ -34,7 +34,35 @@ let round_span name r body =
     ~args:(fun () -> [ ("round", Stdx.Trace.Int r); ("protocol", Stdx.Trace.Str name) ])
     "protocol.round" body
 
-let run_views protocol ~n views coins =
+let one_round (p : ('v, 'a) Model.protocol_over) =
+  {
+    name = p.Model.name;
+    max_rounds = 1;
+    init = (fun ~n:_ _ -> ());
+    player = (fun ~round:_ view () coins -> p.Model.player view coins);
+    referee =
+      (fun ~round:_ ~n ~state:() ~sketches coins -> Finish (p.Model.referee ~n ~sketches coins));
+    encode_broadcast = (fun () -> Writer.create ());
+  }
+
+(* Sketch slots are indexed by player whatever the [schedule], so the
+   referee's input cannot depend on it; test_sketchmodel pins that. *)
+let sketch_round ?schedule views =
+  match schedule with
+  | None -> fun player -> Array.map player views
+  | Some order ->
+      let players = Array.length views in
+      let sorted = Array.copy order in
+      Array.sort compare sorted;
+      if sorted <> Array.init players (fun i -> i) then
+        invalid_arg "Rounds.run_views: schedule is not a permutation of the players";
+      fun player ->
+        let slots = Array.make players None in
+        Array.iter (fun p -> slots.(p) <- Some (player views.(p))) order;
+        Array.map Option.get slots
+
+let run_views ?schedule protocol ~n views coins =
+  let sketch_round = sketch_round ?schedule views in
   let players = Array.length views in
   let per_player = Array.make players 0 in
   let round_max = ref [] and round_total = ref [] and round_broadcast = ref [] in
@@ -46,7 +74,7 @@ let run_views protocol ~n views coins =
       failwith (protocol.name ^ ": round limit exceeded");
     let r = !round in
     round_span protocol.name r (fun () ->
-        let writers = Array.map (fun view -> protocol.player ~round:r view !state coins) views in
+        let writers = sketch_round (fun view -> protocol.player ~round:r view !state coins) in
         let sizes = Array.map Writer.length_bits writers in
         Array.iteri (fun p bits -> per_player.(p) <- per_player.(p) + bits) sizes;
         round_max := Array.fold_left max 0 sizes :: !round_max;

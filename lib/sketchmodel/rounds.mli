@@ -1,23 +1,24 @@
-(** The r-round referee engine: the model's adaptive extension, with
-    first-class per-round accounting.
+(** The referee engine: every sketching protocol in the repo runs here,
+    with first-class per-round accounting.
 
-    The paper's model is one simultaneous round ({!Model.run}). Its
-    [Õ(√n)] contrast (Section 1.1) lets the referee broadcast between
-    rounds; this module runs {e any} number of sketch rounds, each
-    followed by one referee step that either broadcasts a new state or
-    finishes. It records the bit cost of every boundary: per-round
-    player maxima and totals, per-round broadcast sizes, and the
-    cumulative per-player worst case. Every multi-round protocol in the
-    repo runs here: the two-round protocols ([max_rounds = 2]), the
-    r-round frontier and Luby families, and the iterated hypergraph
-    protocols.
+    The paper's model (Section 2.1) is one simultaneous round: a
+    {!Model.protocol_over} lifted by {!one_round} runs here with
+    [max_rounds = 1] and a referee that always finishes. Its [Õ(√n)]
+    contrast (Section 1.1) lets the referee broadcast between rounds;
+    this module runs {e any} number of sketch rounds, each followed by
+    one referee step that either broadcasts a new state or finishes. It
+    records the bit cost of every boundary: per-round player maxima and
+    totals, per-round broadcast sizes, and the cumulative per-player
+    worst case. The two-round protocols ([max_rounds = 2]), the r-round
+    frontier and Luby families, and the iterated hypergraph protocols
+    all run here too.
 
     The engine is polymorphic in the player view: graph protocols see
     {!Model.view}s, the hypergraph protocols pin-set views.
 
     Every round is a [protocol.round] trace span (args [round], numbered
     from 1, and [protocol], the protocol's [name]), so a Perfetto trace
-    of any multi-round run shows its round structure uniformly. *)
+    of any run, one round or many, shows its round structure uniformly. *)
 
 (** What the referee does with a round's sketches: broadcast a new state
     (its encoded size is charged) and run another round, or stop. *)
@@ -52,6 +53,10 @@ type ('v, 'b, 'a) protocol_over = {
 type ('b, 'a) protocol = (Model.view, 'b, 'a) protocol_over
 (** An r-round protocol over graph views. *)
 
+val one_round : ('v, 'a) Model.protocol_over -> ('v, unit, 'a) protocol_over
+(** The paper's one-round protocol as a [Rounds] protocol: [max_rounds =
+    1], a unit state, and a referee that always returns [Finish]. *)
+
 type stats = {
   rounds : int;  (** Rounds actually run. *)
   max_bits : int;  (** Worst-case per-player total over all rounds. *)
@@ -65,9 +70,20 @@ type stats = {
 }
 
 val run_views :
+  ?schedule:int array ->
   ('v, 'b, 'a) protocol_over -> n:int -> 'v array -> Public_coins.t -> 'a * stats
-(** Run on explicit player views (the {!Model.run_views} analogue);
-    raises [Failure] if the referee never finishes within [max_rounds]. *)
+(** Run on explicit player views (there may be more players than [n]),
+    as the hypergraph protocols do; raises [Failure] if the referee never
+    finishes within [max_rounds].
+
+    [schedule] (a permutation of the player indices; default identity)
+    fixes the {e order} in which player sketches are computed in every
+    round. Players are simultaneous and independent, so every schedule
+    must give identical output and stats — the referee's accounting is
+    order-independent by construction. The knob exists so tests can pin
+    that invariant, which is what makes computing sketches concurrently
+    (or trials in parallel via {!Stdx.Parallel}) safe. Raises
+    [Invalid_argument] if [schedule] is not a permutation. *)
 
 val run : ('b, 'a) protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * stats
 (** Run on a graph's standard one-player-per-vertex views. *)

@@ -82,10 +82,12 @@ let test_forest_random_many_seeds () =
 let test_forest_cost_accounted () =
   let g = Dgraph.Gen.path 32 in
   let _, stats = SF.run g (PC.create 5) in
-  checkb "nonzero cost" true (stats.Sketchmodel.Model.max_bits > 0);
+  checkb "nonzero cost" true (stats.Sketchmodel.Rounds.max_bits > 0);
   (* All vertices write the same sampler structure: max is close to avg. *)
-  checkb "uniform sizes" true
-    (float_of_int stats.Sketchmodel.Model.max_bits < 1.5 *. stats.Sketchmodel.Model.avg_bits)
+  let avg_bits =
+    float_of_int stats.Sketchmodel.Rounds.total_bits /. float_of_int (Dgraph.Graph.n g)
+  in
+  checkb "uniform sizes" true (float_of_int stats.Sketchmodel.Rounds.max_bits < 1.5 *. avg_bits)
 
 let test_connected_components () =
   let coins = PC.create 6 in
@@ -119,7 +121,7 @@ let test_bridge_cost_logarithmic () =
   let cost half =
     let rng = Stdx.Prng.create 4 in
     let g, _ = Dgraph.Gen.bridge_of_clouds rng ~half ~p:0.5 in
-    (BD.run g ~samples_per_vertex:3 (PC.create 8)).BD.stats.Sketchmodel.Model.max_bits
+    (BD.run g ~samples_per_vertex:3 (PC.create 8)).BD.stats.Sketchmodel.Rounds.max_bits
   in
   let c64 = cost 64 and c256 = cost 256 in
   checkb "sublinear growth" true (c256 < 2 * c64)

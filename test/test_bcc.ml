@@ -3,6 +3,7 @@
 
 module Bcc = Sketchmodel.Bcc
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
 module W = Stdx.Bitbuf.Writer
 module R = Stdx.Bitbuf.Reader
@@ -16,10 +17,10 @@ let test_of_sketch_same_output () =
   for seed = 1 to 10 do
     let g = Dgraph.Gen.gnp rng 30 0.2 in
     let coins = PC.create seed in
-    let direct, dstats = Model.run Protocols.Trivial.mm g coins in
+    let direct, dstats = Rounds.run (Rounds.one_round Protocols.Trivial.mm) g coins in
     let via_bcc, bstats = Bcc.run (Bcc.of_sketch Protocols.Trivial.mm) g coins in
     checkb "same output" true (direct = via_bcc);
-    checki "same per-round cost" dstats.Model.max_bits bstats.Bcc.max_bits_per_round;
+    checki "same per-round cost" dstats.Rounds.max_bits bstats.Bcc.max_bits_per_round;
     checki "one round" 1 bstats.Bcc.rounds_used
   done
 
@@ -27,10 +28,10 @@ let test_roundtrip_to_sketch () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 2) 25 0.3 in
   let coins = PC.create 5 in
   let roundtripped = Bcc.to_sketch (Bcc.of_sketch Protocols.Trivial.mis) in
-  let a, sa = Model.run Protocols.Trivial.mis g coins in
-  let b, sb = Model.run roundtripped g coins in
+  let a, sa = Rounds.run (Rounds.one_round Protocols.Trivial.mis) g coins in
+  let b, sb = Rounds.run (Rounds.one_round roundtripped) g coins in
   checkb "same output" true (a = b);
-  checki "same cost" sa.Model.max_bits sb.Model.max_bits
+  checki "same cost" sa.Rounds.max_bits sb.Rounds.max_bits
 
 let test_to_sketch_rejects_multiround () =
   let two_round =

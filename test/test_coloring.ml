@@ -45,8 +45,16 @@ let test_empty_graph () =
   let colors, stats, conflicts = proper_outcome g (PC.create 1) in
   checkb "proper trivially" true (P.is_proper g colors);
   checki "no conflicts" 0 conflicts;
-  checki "tiny messages" 0 (stats.Sketchmodel.Model.max_bits - stats.Sketchmodel.Model.max_bits);
-  checkb "cost counted" true (stats.Sketchmodel.Model.max_bits >= 8)
+  (* Every player sends the same empty conflict list. *)
+  let empty_list =
+    let w = Stdx.Bitbuf.Writer.create () in
+    Stdx.Bitbuf.Writer.int_list w [];
+    Stdx.Bitbuf.Writer.length_bits w
+  in
+  checki "tiny messages" empty_list stats.Sketchmodel.Rounds.max_bits;
+  checki "every player sends the same" (5 * stats.Sketchmodel.Rounds.max_bits)
+    stats.Sketchmodel.Rounds.total_bits;
+  checkb "cost counted" true (stats.Sketchmodel.Rounds.max_bits >= 8)
 
 let test_complete_graph_needs_all_colors () =
   (* K_n requires exactly Delta+1 = n colors; with full-size lists the
@@ -79,7 +87,7 @@ let test_determinism () =
   let o1, s1 = P.run g (PC.create 9) in
   let o2, s2 = P.run g (PC.create 9) in
   checkb "same coloring" true (o1.P.coloring = o2.P.coloring);
-  checki "same cost" s1.Sketchmodel.Model.max_bits s2.Sketchmodel.Model.max_bits
+  checki "same cost" s1.Sketchmodel.Rounds.max_bits s2.Sketchmodel.Rounds.max_bits
 
 let qcheck_tests =
   [

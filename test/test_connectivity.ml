@@ -58,7 +58,7 @@ let test_cost_scales_with_k () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 2) 24 0.3 in
   let _, s1 = C.k_forests g ~k:1 coins in
   let _, s3 = C.k_forests g ~k:3 coins in
-  let b1 = s1.Sketchmodel.Model.max_bits and b3 = s3.Sketchmodel.Model.max_bits in
+  let b1 = s1.Sketchmodel.Rounds.max_bits and b3 = s3.Sketchmodel.Rounds.max_bits in
   checkb "3 stacks cost about 3x" true (b3 > 2 * b1 && b3 < 4 * b1)
 
 let test_bipartite_exact () =

@@ -2,6 +2,7 @@
    and verify the system detects or degrades rather than silently lying. *)
 
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
 module G = Dgraph.Graph
 module W = Stdx.Bitbuf.Writer
@@ -41,7 +42,7 @@ let test_trivial_mm_with_corrupted_player () =
   let detections = ref 0 in
   for victim = 0 to 9 do
     let corrupted = corrupt_player ~victim ~flip_every:2 Protocols.Trivial.mm in
-    match Model.run corrupted g (PC.create (victim + 2)) with
+    match Rounds.run (Rounds.one_round corrupted) g (PC.create (victim + 2)) with
     | exception R.Underflow -> incr detections
     | exception Invalid_argument _ -> incr detections
     | output, _ ->
@@ -61,7 +62,7 @@ let test_agm_corruption_detected_by_checker () =
     let g = Dgraph.Gen.gnp rng 24 0.15 in
     let p = Agm.Spanning_forest.protocol ~n:24 () in
     let corrupted = corrupt_player ~victim:(seed mod 24) ~flip_every:7 p in
-    match Model.run corrupted g (PC.create (seed * 5)) with
+    match Rounds.run (Rounds.one_round corrupted) g (PC.create (seed * 5)) with
     | exception R.Underflow -> ()
     | exception Invalid_argument _ -> ()
     | forest, _ ->
@@ -106,8 +107,8 @@ let test_budget_starvation_graceful () =
   List.iter
     (fun b ->
       let p = Protocols.Sampled_mm.protocol ~budget_bits:b ~strategy:Protocols.Sampled_mm.Uniform in
-      let out, stats = Model.run p g (PC.create 7) in
-      checkb "within budget" true (stats.Model.max_bits <= b);
+      let out, stats = Rounds.run (Rounds.one_round p) g (PC.create 7) in
+      checkb "within budget" true (stats.Rounds.max_bits <= b);
       let verdict = Dgraph.Matching.verify g out in
       checkb "never invalid edges" true verdict.Dgraph.Matching.edges_exist)
     [ 1; 2; 3; 7 ]

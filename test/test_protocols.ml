@@ -3,6 +3,7 @@
    MM protocols. *)
 
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
 module G = Dgraph.Graph
 
@@ -14,14 +15,14 @@ let random_graph seed n p = Dgraph.Gen.gnp (Stdx.Prng.create seed) n p
 let test_trivial_mm_correct () =
   List.iter
     (fun g ->
-      let m, _ = Model.run Protocols.Trivial.mm g (PC.create 1) in
+      let m, _ = Rounds.run (Rounds.one_round Protocols.Trivial.mm) g (PC.create 1) in
       checkb "maximal matching" true (Dgraph.Matching.is_maximal g m))
     [ random_graph 1 30 0.2; Dgraph.Gen.complete 9; G.empty 5; Dgraph.Gen.star 12 ]
 
 let test_trivial_mis_correct () =
   List.iter
     (fun g ->
-      let s, _ = Model.run Protocols.Trivial.mis g (PC.create 1) in
+      let s, _ = Rounds.run (Rounds.one_round Protocols.Trivial.mis) g (PC.create 1) in
       checkb "maximal IS" true (Dgraph.Mis.is_maximal g s))
     [ random_graph 2 30 0.2; Dgraph.Gen.complete 9; G.empty 5; Dgraph.Gen.cycle 11 ]
 
@@ -35,9 +36,9 @@ let test_trivial_reconstruct_exact () =
 
 let test_trivial_cost_scales_with_degree () =
   let sparse = random_graph 4 200 0.02 and dense = random_graph 4 200 0.5 in
-  let _, s1 = Model.run Protocols.Trivial.mm sparse (PC.create 2) in
-  let _, s2 = Model.run Protocols.Trivial.mm dense (PC.create 2) in
-  checkb "dense costs much more" true (s2.Model.max_bits > 5 * s1.Model.max_bits)
+  let _, s1 = Rounds.run (Rounds.one_round Protocols.Trivial.mm) sparse (PC.create 2) in
+  let _, s2 = Rounds.run (Rounds.one_round Protocols.Trivial.mm) dense (PC.create 2) in
+  checkb "dense costs much more" true (s2.Rounds.max_bits > 5 * s1.Rounds.max_bits)
 
 let test_sampled_budget_respected () =
   let g = random_graph 5 100 0.4 in
@@ -46,12 +47,12 @@ let test_sampled_budget_respected () =
       List.iter
         (fun strategy ->
           let protocol = Protocols.Sampled_mm.protocol ~budget_bits:budget ~strategy in
-          let _, stats = Model.run protocol g (PC.create 3) in
+          let _, stats = Rounds.run (Rounds.one_round protocol) g (PC.create 3) in
           checkb
             (Printf.sprintf "b=%d %s within budget" budget
                (Protocols.Sampled_mm.strategy_name strategy))
             true
-            (stats.Model.max_bits <= budget))
+            (stats.Rounds.max_bits <= budget))
         Protocols.Sampled_mm.all_strategies)
     [ 0; 8; 17; 64; 256 ]
 
@@ -63,7 +64,7 @@ let test_sampled_output_disjoint_and_valid () =
   let protocol =
     Protocols.Sampled_mm.protocol ~budget_bits:40 ~strategy:Protocols.Sampled_mm.Uniform
   in
-  let output, _ = Model.run protocol g (PC.create 4) in
+  let output, _ = Rounds.run (Rounds.one_round protocol) g (PC.create 4) in
   let verdict = Dgraph.Matching.verify g output in
   checkb "disjoint" true verdict.Dgraph.Matching.disjoint;
   checkb "edges exist" true verdict.Dgraph.Matching.edges_exist
@@ -74,7 +75,7 @@ let test_sampled_large_budget_is_maximal () =
   let protocol =
     Protocols.Sampled_mm.protocol ~budget_bits:100000 ~strategy:Protocols.Sampled_mm.Prefix
   in
-  let output, _ = Model.run protocol g (PC.create 5) in
+  let output, _ = Rounds.run (Rounds.one_round protocol) g (PC.create 5) in
   checkb "maximal with full reports" true (Dgraph.Matching.is_maximal g output)
 
 let test_sampled_zero_budget () =
@@ -82,8 +83,8 @@ let test_sampled_zero_budget () =
   let protocol =
     Protocols.Sampled_mm.protocol ~budget_bits:0 ~strategy:Protocols.Sampled_mm.Uniform
   in
-  let output, stats = Model.run protocol g (PC.create 6) in
-  checki "no bits" 0 stats.Model.max_bits;
+  let output, stats = Rounds.run (Rounds.one_round protocol) g (PC.create 6) in
+  checki "no bits" 0 stats.Rounds.max_bits;
   checki "empty output" 0 (List.length output)
 
 let test_two_round_mm_always_maximal () =
@@ -130,10 +131,10 @@ let test_two_round_cost_sublinear () =
      growing factor. *)
   let g = random_graph 10 400 0.5 in
   let coins = PC.create 13 in
-  let _, trivial = Model.run Protocols.Trivial.mm g coins in
+  let _, trivial = Rounds.run (Rounds.one_round Protocols.Trivial.mm) g coins in
   let _, mm2 = Protocols.Two_round_mm.run g coins in
   checkb "2-round much cheaper on dense input" true
-    (3 * mm2.Sketchmodel.Rounds.max_bits < trivial.Model.max_bits)
+    (3 * mm2.Sketchmodel.Rounds.max_bits < trivial.Rounds.max_bits)
 
 let qcheck_tests =
   [
@@ -142,7 +143,7 @@ let qcheck_tests =
          QCheck.(pair (int_range 1 40) (int_range 0 1000))
          (fun (n, seed) ->
            let g = random_graph seed n 0.25 in
-           let m, _ = Model.run Protocols.Trivial.mm g (PC.create seed) in
+           let m, _ = Rounds.run (Rounds.one_round Protocols.Trivial.mm) g (PC.create seed) in
            Dgraph.Matching.is_maximal g m));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"trivial baseline bits equal trivial MM bits" ~count:80
@@ -153,9 +154,11 @@ let qcheck_tests =
              (int_range 0 1000))
          (fun (n, p, seed) ->
            let g = random_graph seed n p in
-           (* [stats] is max_bits, total_bits, avg_bits and players. *)
-           let (), base = Model.run Protocols.Trivial.baseline g (PC.create seed) in
-           let _, mm = Model.run Protocols.Trivial.mm g (PC.create seed) in
+           (* [stats] is the whole record, per-round arrays included. *)
+           let (), base =
+             Rounds.run (Rounds.one_round Protocols.Trivial.baseline) g (PC.create seed)
+           in
+           let _, mm = Rounds.run (Rounds.one_round Protocols.Trivial.mm) g (PC.create seed) in
            base = mm));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"two-round MM maximal on random graphs" ~count:40
@@ -209,7 +212,9 @@ let qcheck_tests =
                (fun v -> Array.for_all (fun u -> prio v < prio u) (G.neighbors g v))
                (List.init n Fun.id)
            in
-           let mis, _ = Model.run Protocols.One_round_mis.local_minima g coins in
+           let mis, _ =
+             Rounds.run (Rounds.one_round Protocols.One_round_mis.local_minima) g coins
+           in
            let hmis, _ = Protocols.Hyper_mis.run_local_minima (Dgraph.Hypergraph.of_graph g) coins in
            List.sort compare mis = oracle "mis-priority"
            && List.sort compare hmis = oracle "hmis-priority"));
@@ -237,8 +242,8 @@ let qcheck_tests =
              Protocols.Sampled_mm.protocol ~budget_bits:budget
                ~strategy:Protocols.Sampled_mm.Uniform
            in
-           let _, stats = Model.run protocol g (PC.create seed) in
-           stats.Model.max_bits <= budget));
+           let _, stats = Rounds.run (Rounds.one_round protocol) g (PC.create seed) in
+           stats.Rounds.max_bits <= budget));
   ]
 
 let () =

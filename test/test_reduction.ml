@@ -111,11 +111,11 @@ let test_end_to_end_cost () =
   checkb "complete end-to-end" true verdict.R.complete;
   checkb "lemma holds end-to-end" true verdict.R.lemma41_ok;
   checkb "per-G-player at most doubles" true
-    (g_stats.Sketchmodel.Model.max_bits <= 2 * h_stats.Sketchmodel.Model.max_bits);
-  checki "G players" dmm.HD.n g_stats.Sketchmodel.Model.players;
-  checki "H players" (2 * dmm.HD.n) h_stats.Sketchmodel.Model.players;
-  checki "total bits preserved" h_stats.Sketchmodel.Model.total_bits
-    g_stats.Sketchmodel.Model.total_bits
+    (g_stats.Sketchmodel.Rounds.max_bits <= 2 * h_stats.Sketchmodel.Rounds.max_bits);
+  checki "G side is one round" 1 g_stats.Sketchmodel.Rounds.rounds;
+  checki "H side is one round" 1 h_stats.Sketchmodel.Rounds.rounds;
+  checki "total bits preserved" h_stats.Sketchmodel.Rounds.total_bits
+    g_stats.Sketchmodel.Rounds.total_bits
 
 let test_luby_solver_also_works () =
   let dmm = sample 14 in

@@ -450,17 +450,14 @@ let test_service_simulate_bits () =
           let rounds_bits (s : Sketchmodel.Rounds.stats) =
             (s.Sketchmodel.Rounds.max_bits, s.Sketchmodel.Rounds.total_bits)
           in
+          let one_round p =
+            rounds_bits (snd (Sketchmodel.Rounds.run (Sketchmodel.Rounds.one_round p) g coins))
+          in
           let expect_max, expect_total =
             match protocol with
-            | "trivial-mm" ->
-                let _, s = Sketchmodel.Model.run Protocols.Trivial.mm g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "trivial-mis" ->
-                let _, s = Sketchmodel.Model.run Protocols.Trivial.mis g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "local-minima" ->
-                let _, s = Sketchmodel.Model.run Protocols.One_round_mis.local_minima g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
+            | "trivial-mm" -> one_round Protocols.Trivial.mm
+            | "trivial-mis" -> one_round Protocols.Trivial.mis
+            | "local-minima" -> one_round Protocols.One_round_mis.local_minima
             | "two-round-mm" ->
                 let _, s = Protocols.Two_round_mm.run g coins in
                 rounds_bits s
@@ -470,7 +467,7 @@ let test_service_simulate_bits () =
             | "hyper-trivial-mm" ->
                 let h = Server.Simulate.hypergraph_of_spec spec in
                 let _, s = Protocols.Hyper_mm.run_trivial h coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
+                rounds_bits s
             | "hyper-iterated-mm" ->
                 let h = Server.Simulate.hypergraph_of_spec spec in
                 let _, s = Protocols.Hyper_mm.run_iterated h coins in
@@ -478,7 +475,7 @@ let test_service_simulate_bits () =
             | "hyper-local-minima-mis" ->
                 let h = Server.Simulate.hypergraph_of_spec spec in
                 let _, s = Protocols.Hyper_mis.run_local_minima h coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
+                rounds_bits s
             | "hyper-luby-mis" ->
                 let h = Server.Simulate.hypergraph_of_spec spec in
                 let _, s = Protocols.Hyper_mis.run_luby h coins in
@@ -527,6 +524,32 @@ let test_service_simulate_bits () =
                 (T.member "total_bits" stats = Some (T.Jint expect_total))
           | None -> Alcotest.fail (protocol ^ ": no stats field"))
         Server.Simulate.protocols)
+
+(* The one-round responses derive [avg_bits] from [total_bits] over
+   [players]; on an empty input that is 0, never NaN (which would encode
+   as null). *)
+let test_simulate_zero_players () =
+  with_service (fun t ->
+      List.iter
+        (fun protocol ->
+          let j =
+            json t
+              [
+                ("op", T.Jstr "simulate");
+                ("protocol", T.Jstr protocol);
+                ("graph", T.Jobj [ ("kind", T.Jstr "path"); ("n", T.Jint 0) ]);
+              ]
+          in
+          checkb (protocol ^ " ok") true (is_ok j);
+          match T.member "stats" j with
+          | Some stats ->
+              checkb (protocol ^ " no players") true (T.member "players" stats = Some (T.Jint 0));
+              checkb (protocol ^ " avg is zero, not NaN") true
+                (match T.member "avg_bits" stats with
+                | Some (T.Jfloat f) -> Float.is_finite f && f = 0.
+                | _ -> false)
+          | None -> Alcotest.fail (protocol ^ ": no stats field"))
+        [ "trivial-mm"; "hyper-trivial-mm" ])
 
 (* Cached replay of a hyperk simulate: the second request must be served
    from the LRU byte-for-byte, so the hypergraph pipeline (sampling,
@@ -933,6 +956,7 @@ let () =
           Alcotest.test_case "cache determinism" `Quick test_service_cache_determinism;
           Alcotest.test_case "seed precedence" `Quick test_service_seed_precedence;
           Alcotest.test_case "simulate = library bits" `Quick test_service_simulate_bits;
+          Alcotest.test_case "simulate zero players" `Quick test_simulate_zero_players;
           Alcotest.test_case "hyperk simulate cached replay" `Quick
             test_service_simulate_hyperk_cached;
           Alcotest.test_case "multipass simulate cached replay" `Quick

@@ -1,5 +1,6 @@
-(* Tests for Sketchmodel: public coins, the one-round model and the
-   r-round engine at two rounds, with exact bit accounting. *)
+(* Tests for Sketchmodel: public coins, one-round protocols lifted into
+   the round engine, and the engine at two and more rounds, with exact
+   bit accounting. *)
 
 module PC = Sketchmodel.Public_coins
 module Model = Sketchmodel.Model
@@ -60,12 +61,13 @@ let counting_protocol =
 
 let test_run_accounting () =
   let g = G.empty 4 in
-  let total, stats = Model.run counting_protocol g (PC.create 0) in
+  let total, stats = Rounds.run (Rounds.one_round counting_protocol) g (PC.create 0) in
   checki "referee sees all bits" 10 total;
-  checki "max = biggest player" 4 stats.Model.max_bits;
-  checki "total" 10 stats.Model.total_bits;
-  checki "players" 4 stats.Model.players;
-  checkb "avg" true (abs_float (stats.Model.avg_bits -. 2.5) < 1e-9)
+  checki "max = biggest player" 4 stats.Rounds.max_bits;
+  checki "total" 10 stats.Rounds.total_bits;
+  checki "one round" 1 stats.Rounds.rounds;
+  Alcotest.(check (array int)) "round max" [| 4 |] stats.Rounds.round_max;
+  checki "nothing broadcast" 0 stats.Rounds.broadcast_bits
 
 let test_run_views_custom () =
   (* The augmented-model entry point: more players than vertices. *)
@@ -83,10 +85,12 @@ let test_run_views_custom () =
       referee = (fun ~n ~sketches _ -> (n, Array.length sketches));
     }
   in
-  let (n, player_count), stats = Model.run_views proto ~n:3 views (PC.create 1) in
+  let (n, player_count), stats =
+    Rounds.run_views (Rounds.one_round proto) ~n:3 views (PC.create 1)
+  in
   checki "n" 3 n;
   checki "players" 6 player_count;
-  checki "total bits" 6 stats.Model.total_bits
+  checki "total bits" 6 stats.Rounds.total_bits
 
 let test_success_rate () =
   Alcotest.(check (float 1e-9)) "always true" 1.
@@ -158,10 +162,10 @@ let test_run_deterministic () =
           Array.to_list sketches |> List.map R.uvarint);
     }
   in
-  let a, _ = Model.run proto g (PC.create 9) in
-  let b, _ = Model.run proto g (PC.create 9) in
+  let a, _ = Rounds.run (Rounds.one_round proto) g (PC.create 9) in
+  let b, _ = Rounds.run (Rounds.one_round proto) g (PC.create 9) in
   checkb "identical runs under identical coins" true (a = b);
-  let c, _ = Model.run proto g (PC.create 10) in
+  let c, _ = Rounds.run (Rounds.one_round proto) g (PC.create 10) in
   checkb "different coins differ" true (a <> c)
 
 let test_zero_players () =
@@ -172,11 +176,11 @@ let test_zero_players () =
       referee = (fun ~n ~sketches _ -> (n, Array.length sketches));
     }
   in
-  let (n, players), stats = Model.run_views proto ~n:5 [||] (PC.create 1) in
+  let (n, players), stats = Rounds.run_views (Rounds.one_round proto) ~n:5 [||] (PC.create 1) in
   checki "n still passed" 5 n;
   checki "no players" 0 players;
-  checki "no bits" 0 stats.Model.total_bits;
-  checkb "avg is zero, not NaN" true (stats.Model.avg_bits = 0.)
+  checki "no bits" 0 stats.Rounds.total_bits;
+  checki "one round still runs" 1 stats.Rounds.rounds
 
 let test_player_isolation () =
   (* A player only gets its own view: check the runner passes the right
@@ -201,38 +205,58 @@ let test_player_isolation () =
                  (vertex, deg)));
     }
   in
-  let echoed, _ = Model.run proto g (PC.create 3) in
+  let echoed, _ = Rounds.run (Rounds.one_round proto) g (PC.create 3) in
   Alcotest.(check (list (pair int int))) "views routed correctly"
     [ (0, 1); (1, 1); (2, 0) ] echoed
 
 (* Regression for the parallel trial engine's core assumption: the order in
    which player sketches are computed must not change the referee's output
-   or the bit accounting. Runs a real protocol (sampled MM) on a D_MM-sized
-   random graph under shuffled schedules and demands bit-equality. *)
+   or the bit accounting, in any round. Runs real protocols (one-round
+   sampled MM, three-round prefix MIS, Luby MIS) on a D_MM-sized random
+   graph under shuffled schedules and demands bit-equality. *)
 let test_schedule_independence () =
   let rng = Stdx.Prng.create 2024 in
   let g = Dgraph.Gen.gnp rng 48 0.2 in
   let coins = PC.create 77 in
   let protocol =
-    Protocols.Sampled_mm.protocol ~budget_bits:32 ~strategy:Protocols.Sampled_mm.Uniform
+    Rounds.one_round
+      (Protocols.Sampled_mm.protocol ~budget_bits:32 ~strategy:Protocols.Sampled_mm.Uniform)
   in
   let views = Model.views g in
-  let reference_out, reference_stats = Model.run_views protocol ~n:(G.n g) views coins in
+  let schedules =
+    List.map
+      (fun shuffle_seed -> Stdx.Prng.permutation (Stdx.Prng.create shuffle_seed) (G.n g))
+      [ 1; 2; 3; 4 ]
+  in
+  let reference_out, reference_stats = Rounds.run_views protocol ~n:(G.n g) views coins in
   List.iter
-    (fun shuffle_seed ->
-      let schedule = Stdx.Prng.permutation (Stdx.Prng.create shuffle_seed) (G.n g) in
-      let out, stats = Model.run_views ~schedule protocol ~n:(G.n g) views coins in
+    (fun schedule ->
+      let out, stats = Rounds.run_views ~schedule protocol ~n:(G.n g) views coins in
       Alcotest.(check (list (pair int int)))
         "output independent of sketch order" reference_out out;
-      checki "max_bits independent of sketch order" reference_stats.Model.max_bits
-        stats.Model.max_bits;
-      checki "total_bits independent of sketch order" reference_stats.Model.total_bits
-        stats.Model.total_bits)
-    [ 1; 2; 3; 4 ];
+      checki "max_bits independent of sketch order" reference_stats.Rounds.max_bits
+        stats.Rounds.max_bits;
+      checki "total_bits independent of sketch order" reference_stats.Rounds.total_bits
+        stats.Rounds.total_bits)
+    schedules;
   Alcotest.check_raises "non-permutation schedule rejected"
-    (Invalid_argument "Model.run_views: schedule is not a permutation of the players")
+    (Invalid_argument "Rounds.run_views: schedule is not a permutation of the players")
     (fun () ->
-      ignore (Model.run_views ~schedule:(Array.make (G.n g) 0) protocol ~n:(G.n g) views coins))
+      ignore (Rounds.run_views ~schedule:(Array.make (G.n g) 0) protocol ~n:(G.n g) views coins));
+  let multi_round name protocol =
+    let reference = Rounds.run_views protocol ~n:(G.n g) views coins in
+    checkb (name ^ ": more than one round") true ((snd reference).Rounds.rounds > 1);
+    List.iter
+      (fun schedule ->
+        let out, stats = Rounds.run_views ~schedule protocol ~n:(G.n g) views coins in
+        Alcotest.(check (list int)) (name ^ ": output independent of sketch order")
+          (fst reference) out;
+        checkb (name ^ ": whole stats independent of sketch order") true
+          (snd reference = stats))
+      schedules
+  in
+  multi_round "frontier r=3" (Protocols.Frontier.protocol ~rounds:3 ~n:(G.n g));
+  multi_round "luby random" (Protocols.Luby.protocol Protocols.Luby.Random ~n:(G.n g))
 
 let () =
   Alcotest.run "sketchmodel"

@@ -348,14 +348,15 @@ let test_freeze_spans () =
 (* --------------------------------------------------------------- *)
 (* Round spans: one per round, numbered from 1, on every engine run *)
 
-(* A served run of each multi-round family emits exactly [stats.rounds]
+(* A served run of each protocol family emits exactly [stats.rounds]
    [protocol.round] spans, numbered 1..rounds in order, each carrying the
-   engine protocol's name. *)
+   engine protocol's name. The one-round protocols run on the same engine,
+   so each emits exactly one span. *)
 let test_protocol_round_spans () =
   let gnp = Server.Simulate.Gnp { n = 40; p = 0.15 } in
   let hyperk = Server.Simulate.Hyperk { n = 30; m = 20; k = 3 } in
   List.iter
-    (fun (protocol, name, graph, seed) ->
+    (fun (protocol, name, graph, seed, one_round) ->
       fresh ();
       Tr.enable ();
       let body = Server.Simulate.run { Server.Simulate.protocol; graph; seed } in
@@ -365,6 +366,7 @@ let test_protocol_round_spans () =
         | Some (T.Jint r) -> r
         | _ -> Alcotest.failf "%s: stats carry no round count" protocol
       in
+      if one_round then Alcotest.(check int) (protocol ^ ": one round") 1 rounds;
       let spans = events_named "protocol.round" (Tr.dump ()) in
       Tr.reset ();
       Alcotest.(check int) (protocol ^ ": one span per round") rounds (List.length spans);
@@ -383,11 +385,16 @@ let test_protocol_round_spans () =
             (List.assoc_opt "protocol" e.Tr.args = Some (Tr.Str name)))
         spans)
     [
-      ("two-round-mis", "two-round-prefix-mis", gnp, 11);
-      ("hyper-iterated-mm", "hyper-iterated-mm", hyperk, 5);
-      ("hyper-luby-mis", "hyper-luby-mis", hyperk, 5);
-      ("prefix-mis-r4", "frontier-prefix-mis-r4", gnp, 11);
-      ("luby-mis-random", "luby-mis-random", gnp, 11);
+      ("trivial-mm", "trivial-mm", gnp, 11, true);
+      ("trivial-mis", "trivial-mis", gnp, 11, true);
+      ("local-minima", "one-round-local-minima", gnp, 11, true);
+      ("hyper-trivial-mm", "hyper-trivial-mm", hyperk, 5, true);
+      ("hyper-local-minima-mis", "hyper-local-minima-mis", hyperk, 5, true);
+      ("two-round-mis", "two-round-prefix-mis", gnp, 11, false);
+      ("hyper-iterated-mm", "hyper-iterated-mm", hyperk, 5, false);
+      ("hyper-luby-mis", "hyper-luby-mis", hyperk, 5, false);
+      ("prefix-mis-r4", "frontier-prefix-mis-r4", gnp, 11, false);
+      ("luby-mis-random", "luby-mis-random", gnp, 11, false);
     ]
 
 (* --------------------------------------------------------------- *)

@@ -36,7 +36,9 @@ let test_yao_on_dmm () =
         let p =
           Protocols.Sampled_mm.protocol ~budget_bits:24 ~strategy:Protocols.Sampled_mm.Uniform
         in
-        let out, _ = Sketchmodel.Model.run p dmm.Core.Hard_dist.graph coins in
+        let out, _ =
+          Sketchmodel.Rounds.run (Sketchmodel.Rounds.one_round p) dmm.Core.Hard_dist.graph coins
+        in
         Dgraph.Matching.is_maximal dmm.Core.Hard_dist.graph out)
   in
   checkb "dominates on D_MM" true (Core.Yao.dominates report);
