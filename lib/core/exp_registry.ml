@@ -119,19 +119,37 @@ type gc_cost = { alloc_bytes : float; minor_collections : int; major_collections
    GC cost of the body. The snapshots bracket [E.run] alone — parameter
    merging, row rendering and preamble/footer formatting stay outside the
    window, so the figure is the experiment's own allocation, not the
-   harness's. [Gc.allocated_bytes] and the collection counters cover the
-   calling domain only: at jobs>1 worker-domain shares are invisible, so
-   bench measures at jobs=1 when the absolute number matters. *)
-let measured_table (module E : EXPERIMENT) overrides =
+   harness's. [Gc.allocated_bytes] counts the minor heap only up to its
+   last collection, so when [exact] a minor collection precedes each
+   reading: without it the same table read 0.18 or 2.0 MB depending on
+   what ran before. The collection counters are read before the second
+   forced collection, so the forcing itself is not counted. Only
+   [measured_table] forces them: in a process with idle worker domains
+   (the daemon) each forced collection stops every domain, about 2 ms
+   on a 2-vCPU host, and [table] discards the cost anyway. All of this
+   covers the calling domain only: at jobs>1 worker-domain shares are
+   invisible, so bench measures at jobs=1 when the absolute number
+   matters.
+
+   The calling domain's scratch arena is cleared when the body ends,
+   also when it raises: a table's buffers live as long as the table, not
+   for the rest of the process. *)
+let run_table ~exact (module E : EXPERIMENT) overrides =
   let ps = merge E.params overrides in
   let cost = ref { alloc_bytes = 0.; minor_collections = 0; major_collections = 0 } in
   let rows =
     Stdx.Trace.span ~args:(trace_args ps) ("exp." ^ E.id) (fun () ->
+        if exact then Gc.minor ();
         let s0 = Gc.quick_stat () in
         let a0 = Gc.allocated_bytes () in
-        let rows = E.run ps in
-        let a1 = Gc.allocated_bytes () in
+        let rows =
+          Fun.protect
+            ~finally:(fun () -> Stdx.Scratch.clear (Stdx.Scratch.domain ()))
+            (fun () -> E.run ps)
+        in
         let s1 = Gc.quick_stat () in
+        if exact then Gc.minor ();
+        let a1 = Gc.allocated_bytes () in
         cost :=
           {
             alloc_bytes = a1 -. a0;
@@ -148,7 +166,8 @@ let measured_table (module E : EXPERIMENT) overrides =
     },
     !cost )
 
-let table e overrides = fst (measured_table e overrides)
+let measured_table e overrides = run_table ~exact:true e overrides
+let table e overrides = fst (run_table ~exact:false e overrides)
 
 (* ------------------------------------------------------------------ *)
 (* The registry                                                        *)

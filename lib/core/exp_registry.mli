@@ -129,7 +129,10 @@ val overrides_for : fast:bool -> experiment -> params
 (** The [all] override set for the chosen speed. *)
 
 type gc_cost = {
-  alloc_bytes : float;  (** [Gc.allocated_bytes] delta across the body. *)
+  alloc_bytes : float;
+      (** [Gc.allocated_bytes] delta across the body, each reading taken
+          right after a minor collection, so the figure is exact: the
+          same table measured twice in one process reads the same bytes. *)
   minor_collections : int;  (** Minor-collection count delta. *)
   major_collections : int;  (** Major-collection cycle delta. *)
 }
@@ -143,7 +146,9 @@ type gc_cost = {
 val table : experiment -> params -> Report.Tabular.table
 (** Merge overrides, run the experiment inside an [exp.<id>] trace span
     annotated with every merged parameter (seed included), and package
-    rows, preamble and footer for any renderer. *)
+    rows, preamble and footer for any renderer. The calling domain's
+    {!Stdx.Scratch} arena is cleared when the experiment ends, also when
+    it raises, so no table's buffers outlive it. *)
 
 val measured_table : experiment -> params -> Report.Tabular.table * gc_cost
 (** Like {!table}, and additionally reports the {!gc_cost} of the

@@ -97,8 +97,8 @@ let run_with_solver dmm solver = check dmm (solver (build_h dmm))
 let end_to_end_cost dmm protocol coins =
   let h = build_h dmm in
   let n2 = Graph.n h in
-  let h_views = Model.views h in
-  let writers = Array.map (fun view -> protocol.Model.player view coins) h_views in
+  (* Each view is built as its player runs, as in [Rounds.run]. *)
+  let writers = Array.init n2 (fun v -> protocol.Model.player (Model.view h v) coins) in
   let sizes = Array.map Stdx.Bitbuf.Writer.length_bits writers in
   let sketches = Array.map Stdx.Bitbuf.Reader.of_writer writers in
   let mis = protocol.Model.referee ~n:n2 ~sketches coins in

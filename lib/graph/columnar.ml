@@ -59,46 +59,54 @@ let radix_sort_nonneg a =
 let sort_keys a =
   if Array.length a < radix_threshold then Array.sort int_compare a else radix_sort_nonneg a
 
-(* Number of distinct values in a sorted array. *)
-let count_distinct keys =
-  let count = ref 0 and last = ref min_int in
-  Array.iter
-    (fun key ->
-      if key <> !last then begin
-        incr count;
-        last := key
-      end)
-    keys;
-  !count
-
-(* The merged neighbour CSR of an undirected edge list in lexicographic
-   (eu, ev) order with eu < ev: count degrees, prefix-sum, then scatter
-   both directions. Scanning edges lexicographically appends, for every
-   row w, first the smaller neighbours (edges (x, w), x ascending) and
-   then the larger ones (edges (w, y), y ascending), so each row comes
-   out sorted without a per-row sort. *)
-let neighbor_csr ~n ~eu ~ev =
-  let m = Array.length eu in
+(* The merged neighbour CSR of [Graph]'s edge keys, read straight from
+   the first [len] entries of [keys] (sorted, duplicates adjacent): one
+   counting pass that skips the duplicates, a prefix sum, then a scatter
+   of both directions. Scanning the keys in order appends, for every row
+   w, first the smaller neighbours (keys x*n+w, x ascending) and then
+   the larger ones (keys w*n+y, y ascending), so each row comes out
+   sorted without a per-row sort. The scatter uses [row_start] itself as
+   its write cursors and shifts it back by one slot afterwards, so the
+   fill borrows nothing. *)
+let csr_of_sorted_keys ~n keys len =
+  Stdx.Trace.begin_ "graph.dedup";
+  (* Degree of v into [row_start.(v + 1)]. *)
   let row_start = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    row_start.(eu.(i) + 1) <- row_start.(eu.(i) + 1) + 1;
-    row_start.(ev.(i) + 1) <- row_start.(ev.(i) + 1) + 1
+  let half_edges = ref 0 and last = ref min_int in
+  for j = 0 to len - 1 do
+    let key = keys.(j) in
+    if key <> !last then begin
+      let u = key / n and v = key mod n in
+      row_start.(u + 1) <- row_start.(u + 1) + 1;
+      row_start.(v + 1) <- row_start.(v + 1) + 1;
+      half_edges := !half_edges + 2;
+      last := key
+    end
   done;
+  Stdx.Trace.end_ ();
+  Stdx.Trace.begin_ "graph.csr-fill";
   for v = 1 to n do
     row_start.(v) <- row_start.(v) + row_start.(v - 1)
   done;
-  let col = Array.make (2 * m) 0 in
-  (* The write cursors are a throwaway copy of the prefix sums — an arena
-     borrow, not an allocation, since they never escape the fill. *)
-  let cursor = Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "columnar.neighbor-cursor" (max n 1) in
-  Array.blit row_start 0 cursor 0 (max n 1);
-  for i = 0 to m - 1 do
-    let u = eu.(i) and v = ev.(i) in
-    col.(cursor.(u)) <- v;
-    cursor.(u) <- cursor.(u) + 1;
-    col.(cursor.(v)) <- u;
-    cursor.(v) <- cursor.(v) + 1
+  let col = Array.make !half_edges 0 in
+  let last = ref min_int in
+  for j = 0 to len - 1 do
+    let key = keys.(j) in
+    if key <> !last then begin
+      let u = key / n and v = key mod n in
+      col.(row_start.(u)) <- v;
+      row_start.(u) <- row_start.(u) + 1;
+      col.(row_start.(v)) <- u;
+      row_start.(v) <- row_start.(v) + 1;
+      last := key
+    end
   done;
+  (* Each cursor now holds its row's end, the next row's start. *)
+  for v = n downto 1 do
+    row_start.(v) <- row_start.(v - 1)
+  done;
+  row_start.(0) <- 0;
+  Stdx.Trace.end_ ();
   (row_start, col)
 
 (* Incidence CSR of a segment column: one entry per (row, value)

@@ -1,12 +1,11 @@
-(** Columnar freeze primitives: key sorting, a distinct count and CSR
-    index fills.
+(** Columnar freeze primitives: key sorting and CSR index fills.
 
     These are the allocation-disciplined interior loops of every
     {!Graph} freeze (sort, dedup, CSR fill) and of
     {!Hypergraph.Builder.freeze} (the incidence fill): plain int arrays
     in, plain int arrays out, no closures on the hot paths. Their
     internal scratch (the radix sort's swap buffer and byte counters,
-    the CSR fills' write cursors) is borrowed from the per-domain
+    the incidence fill's write cursors) is borrowed from the per-domain
     {!Stdx.Scratch} arena rather than allocated, so repeated freezes of
     same-shaped inputs allocate only their results — see PERFORMANCE.md
     for the ownership contract and the reserved key names. *)
@@ -25,15 +24,14 @@ val radix_sort_nonneg : int array -> unit
 (** The radix sort itself, without the small-array fallback — exposed for
     tests pinning [sort_keys]'s equivalence to [Array.sort]. *)
 
-val count_distinct : int array -> int
-(** Number of distinct values in an ascending-sorted array (containing no
-    [min_int]). *)
-
-val neighbor_csr : n:int -> eu:int array -> ev:int array -> int array * int array
-(** [(row_start, col)] of the merged undirected neighbour CSR of the
-    normalised edge columns ([eu.(i) < ev.(i)], lexicographic order):
-    [row_start] has length [n+1], each row of [col] is sorted ascending.
-    One counting pass, one prefix sum, one scatter — no per-row sort. *)
+val csr_of_sorted_keys : n:int -> int array -> int -> int array * int array
+(** [csr_of_sorted_keys ~n keys len] is [(row_start, col)], the merged
+    undirected neighbour CSR of the first [len] entries of [keys]:
+    ascending edge keys [u*n + v] with [u < v < n], duplicates adjacent
+    and counted once. [row_start] has length [n+1], each row of [col] is
+    sorted ascending. One counting pass (the ["graph.dedup"] trace span),
+    one prefix sum and one scatter (["graph.csr-fill"]); no per-row
+    sort, no edge columns, no arena borrow. *)
 
 val incidence_of_segments :
   cod_count:int -> seg_row:int array -> seg_val:int array -> int array * int array

@@ -1,37 +1,31 @@
 (* Columnar graph core (DESIGN.md §8).
 
-   A frozen graph is flat int columns: the normalized edge columns
-   [eu]/[ev] (eu.(i) < ev.(i), lexicographic order) and the merged CSR
-   neighbour store [row_start] (length n+1) indexing into [col] (length
-   2m), each row sorted ascending.
+   A frozen graph is one CSR neighbour store: [row_start] (length n+1)
+   indexing into [col] (length 2m), each row sorted ascending. There are
+   no separate edge columns: an edge (u, v) with u < v is the entry v of
+   row u, so a row-major scan that keeps the entries above the diagonal
+   visits the edges in lexicographic order.
 
    Construction funnels through [of_keys]: an edge (u, v) with u < v is
    the single int key u*n + v (safe while n < 2^31 on 64-bit OCaml
-   ints); the keys are radix-sorted, adjacent duplicates collapse into
-   [eu]/[ev], and the CSR is filled from the columns, each phase under
-   its own "graph.sort"/"graph.dedup"/"graph.csr-fill" trace span.
+   ints); the keys are radix-sorted, then [Columnar.csr_of_sorted_keys]
+   counts the distinct ones and scatters them into the rows, each phase
+   under its own "graph.sort"/"graph.dedup"/"graph.csr-fill" trace span.
    [Builder] is the mutable front end for incremental assembly, and
    [of_sorted_csr] / [disjoint_union] adopt already-CSR-shaped input
    without re-sorting. *)
 
 type edge = int * int
 
-type t = {
-  n : int;
-  m : int;
-  row_start : int array;
-  col : int array;
-  eu : int array;
-  ev : int array;
-}
+type t = { n : int; m : int; row_start : int array; col : int array }
 
 let normalize_edge u v =
   if u = v then invalid_arg "Graph.normalize_edge: self-loop";
   if u < v then (u, v) else (v, u)
 
 (* Build from the first [len] entries of [keys] (destroyed by sorting);
-   duplicates are collapsed. The three phases — sort, dedup into edge
-   columns, CSR fill — each run inside a trace span nested under
+   duplicates are collapsed. The three phases — sort, the distinct
+   count, CSR fill — each run inside a trace span nested under
    "graph.freeze", so a Perfetto view of any experiment shows where
    graph-construction time goes. [begin_]/[end_] is safe here: freezes
    happen on exactly one logical task per domain. *)
@@ -41,28 +35,9 @@ let of_keys n keys len =
   Stdx.Trace.begin_ "graph.sort";
   Columnar.sort_keys keys;
   Stdx.Trace.end_ ();
-  Stdx.Trace.begin_ "graph.dedup";
-  let m = Columnar.count_distinct keys in
-  let eu = Array.make m 0 in
-  let ev = Array.make m 0 in
-  (* Adjacent dedup over the sorted keys, as [Columnar.count_distinct]
-     counts them; a plain loop, so a freeze allocates no closure. *)
-  let i = ref 0 and last = ref min_int in
-  for j = 0 to len - 1 do
-    let key = keys.(j) in
-    if key <> !last then begin
-      eu.(!i) <- key / n;
-      ev.(!i) <- key mod n;
-      incr i;
-      last := key
-    end
-  done;
+  let row_start, col = Columnar.csr_of_sorted_keys ~n keys len in
   Stdx.Trace.end_ ();
-  Stdx.Trace.begin_ "graph.csr-fill";
-  let row_start, col = Columnar.neighbor_csr ~n ~eu ~ev in
-  Stdx.Trace.end_ ();
-  Stdx.Trace.end_ ();
-  { n; m; row_start; col; eu; ev }
+  { n; m = Array.length col / 2; row_start; col }
 
 module Builder = struct
   type graph = t
@@ -121,26 +96,41 @@ let of_edge_array n edge_arr =
     edge_arr;
   of_keys n keys len
 
+(* Binary search for [v] in row [u]. *)
+let mem_row g u v =
+  let rec bsearch lo hi =
+    if lo >= hi then false
+    else
+      let mid = (lo + hi) / 2 in
+      if g.col.(mid) = v then true else if g.col.(mid) < v then bsearch (mid + 1) hi else bsearch lo mid
+  in
+  bsearch g.row_start.(u) g.row_start.(u + 1)
+
+(* Without edge columns the rows are the only copy of the edge set, so
+   adoption checks them in full: each row strictly ascending, in range,
+   loop-free, and every entry mirrored in its neighbour's row (a binary
+   search, no allocation). *)
 let of_sorted_csr ~n ~row_start ~col =
   if n < 0 then invalid_arg "Graph.of_sorted_csr: negative n";
   if Array.length row_start <> n + 1 || row_start.(0) <> 0 || row_start.(n) <> Array.length col
   then invalid_arg "Graph.of_sorted_csr: row_start shape";
   if Array.length col land 1 = 1 then invalid_arg "Graph.of_sorted_csr: odd half-edge count";
-  let m = Array.length col / 2 in
-  let eu = Array.make m 0 and ev = Array.make m 0 in
-  let i = ref 0 in
+  let g = { n; m = Array.length col / 2; row_start; col } in
   for u = 0 to n - 1 do
+    if row_start.(u + 1) < row_start.(u) then invalid_arg "Graph.of_sorted_csr: row_start shape";
     for idx = row_start.(u) to row_start.(u + 1) - 1 do
       let v = col.(idx) in
-      if u < v then begin
-        eu.(!i) <- u;
-        ev.(!i) <- v;
-        incr i
-      end
+      if v < 0 || v >= n || v = u || (idx > row_start.(u) && col.(idx - 1) >= v) then
+        invalid_arg "Graph.of_sorted_csr: rows not sorted, simple and in range"
     done
   done;
-  if !i <> m then invalid_arg "Graph.of_sorted_csr: not a symmetric simple adjacency";
-  { n; m; row_start; col; eu; ev }
+  for u = 0 to n - 1 do
+    for idx = row_start.(u) to row_start.(u + 1) - 1 do
+      if not (mem_row g col.(idx) u) then
+        invalid_arg "Graph.of_sorted_csr: not a symmetric simple adjacency"
+    done
+  done;
+  g
 
 let empty n = create n []
 
@@ -175,43 +165,49 @@ let max_degree g =
   done;
   !best
 
-let mem_edge g u v =
-  if u = v then false
-  else begin
-    let rec bsearch lo hi =
-      if lo >= hi then false
-      else
-        let mid = (lo + hi) / 2 in
-        if g.col.(mid) = v then true
-        else if g.col.(mid) < v then bsearch (mid + 1) hi
-        else bsearch lo mid
-    in
-    bsearch g.row_start.(u) g.row_start.(u + 1)
-  end
+let mem_edge g u v = u <> v && mem_row g u v
 
+(* Row u's entries above the diagonal are the edges (u, v), u < v, in
+   ascending v: row-major order is lexicographic edge order. *)
 let iter_edges f g =
-  for i = 0 to g.m - 1 do
-    f g.eu.(i) g.ev.(i)
+  for u = 0 to g.n - 1 do
+    for idx = g.row_start.(u) to g.row_start.(u + 1) - 1 do
+      let v = g.col.(idx) in
+      if u < v then f u v
+    done
   done
 
 let fold_edges f g init =
   let acc = ref init in
-  for i = 0 to g.m - 1 do
-    acc := f g.eu.(i) g.ev.(i) !acc
-  done;
+  iter_edges (fun u v -> acc := f u v !acc) g;
   !acc
 
-let edges_array g = Array.init g.m (fun i -> (g.eu.(i), g.ev.(i)))
+let edges_array g =
+  let out = Array.make g.m (0, 0) in
+  let i = ref 0 in
+  iter_edges
+    (fun u v ->
+      out.(!i) <- (u, v);
+      incr i)
+    g;
+  out
+
+(* Write [g]'s edge keys over [n] vertices into [keys] from [!i] on,
+   with every endpoint renamed through [rename]. *)
+let add_keys keys i n rename g =
+  iter_edges
+    (fun u v ->
+      let u = rename u and v = rename v in
+      keys.(!i) <- (if u < v then (u * n) + v else (v * n) + u);
+      incr i)
+    g
 
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: vertex count mismatch";
   let keys = Array.make (max (a.m + b.m) 1) 0 in
-  for i = 0 to a.m - 1 do
-    keys.(i) <- (a.eu.(i) * a.n) + a.ev.(i)
-  done;
-  for i = 0 to b.m - 1 do
-    keys.(a.m + i) <- (b.eu.(i) * b.n) + b.ev.(i)
-  done;
+  let i = ref 0 in
+  add_keys keys i a.n Fun.id a;
+  add_keys keys i a.n Fun.id b;
   of_keys a.n keys (a.m + b.m)
 
 let union_all n gs =
@@ -220,11 +216,10 @@ let union_all n gs =
   let i = ref 0 in
   List.iter
     (fun g ->
-      for e = 0 to g.m - 1 do
-        if g.eu.(e) >= n || g.ev.(e) >= n then invalid_arg "Graph.union_all: vertex out of range";
-        keys.(!i) <- (g.eu.(e) * n) + g.ev.(e);
-        incr i
-      done)
+      for v = n to g.n - 1 do
+        if degree g v > 0 then invalid_arg "Graph.union_all: vertex out of range"
+      done;
+      add_keys keys i n Fun.id g)
     gs;
   of_keys n keys total
 
@@ -237,10 +232,7 @@ let relabel g sigma =
       seen.(x) <- true)
     sigma;
   let keys = Array.make (max g.m 1) 0 in
-  for i = 0 to g.m - 1 do
-    let u = sigma.(g.eu.(i)) and v = sigma.(g.ev.(i)) in
-    keys.(i) <- (if u < v then (u * g.n) + v else (v * g.n) + u)
-  done;
+  add_keys keys (ref 0) g.n (Array.get sigma) g;
   of_keys g.n keys g.m
 
 let induced g vs =
@@ -259,7 +251,7 @@ let induced g vs =
 
 (* Fast path: both operands are already frozen CSR, and every shifted
    vertex of [b] is larger than every vertex of [a], so the concatenated
-   rows and edge columns are already sorted — no re-sort needed. *)
+   rows are already sorted — no re-sort needed. *)
 let disjoint_union a b =
   let n = a.n + b.n in
   let row_start = Array.make (n + 1) 0 in
@@ -271,16 +263,10 @@ let disjoint_union a b =
   let col = Array.make (off + Array.length b.col) 0 in
   Array.blit a.col 0 col 0 off;
   Array.iteri (fun i v -> col.(off + i) <- v + a.n) b.col;
-  let eu = Array.make (a.m + b.m) 0 and ev = Array.make (a.m + b.m) 0 in
-  Array.blit a.eu 0 eu 0 a.m;
-  Array.blit a.ev 0 ev 0 a.m;
-  for i = 0 to b.m - 1 do
-    eu.(a.m + i) <- b.eu.(i) + a.n;
-    ev.(a.m + i) <- b.ev.(i) + a.n
-  done;
-  { n; m = a.m + b.m; row_start; col; eu; ev }
+  { n; m = a.m + b.m; row_start; col }
 
-let equal a b = a.n = b.n && a.eu = b.eu && a.ev = b.ev
+(* Rows are sorted, so the CSR of an edge set is unique. *)
+let equal a b = a.n = b.n && a.row_start = b.row_start && a.col = b.col
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n g.m;

@@ -5,16 +5,16 @@ module Reader = Stdx.Bitbuf.Reader
 
 let player (view : Model.view) _coins =
   let w = Writer.create () in
-  Writer.int_list w (Array.to_list view.Model.neighbors);
+  Writer.int_array w view.Model.neighbors;
   w
 
 let reconstruct ~n ~sketches =
   let b = Graph.Builder.create ~capacity:(max 16 n) n in
   Array.iteri
     (fun v r ->
-      List.iter
+      Array.iter
         (fun u -> if u <> v && u >= 0 && u < n then Graph.Builder.add_edge b v u)
-        (Reader.int_list r))
+        (Reader.int_array r))
     sketches;
   Graph.Builder.freeze b
 

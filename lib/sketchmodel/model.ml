@@ -2,7 +2,8 @@ module Graph = Dgraph.Graph
 
 type view = { n : int; vertex : int; neighbors : int array }
 
-let views g = Array.init (Graph.n g) (fun v -> { n = Graph.n g; vertex = v; neighbors = Graph.neighbors g v })
+let view g v = { n = Graph.n g; vertex = v; neighbors = Graph.neighbors g v }
+let views g = Array.init (Graph.n g) (view g)
 
 type ('v, 'a) protocol_over = {
   name : string;

@@ -15,8 +15,12 @@ type view = {
 }
 (** Everything a player is allowed to see. *)
 
+val view : Dgraph.Graph.t -> int -> view
+(** [view g v] is vertex [v]'s honest view, with a fresh copy of its
+    neighbour row. *)
+
 val views : Dgraph.Graph.t -> view array
-(** The honest per-vertex views of a graph. *)
+(** The honest per-vertex views of a graph: [view g v] for every [v]. *)
 
 type ('v, 'a) protocol_over = {
   name : string;

@@ -46,24 +46,23 @@ let one_round (p : ('v, 'a) Model.protocol_over) =
   }
 
 (* Sketch slots are indexed by player whatever the [schedule], so the
-   referee's input cannot depend on it; test_sketchmodel pins that. *)
-let sketch_round ?schedule views =
+   referee's input cannot depend on it; test_sketchmodel pins that.
+   [view p] is player [p]'s view, built when that player runs. *)
+let sketch_round ?schedule ~players view =
   match schedule with
-  | None -> fun player -> Array.map player views
+  | None -> fun player -> Array.init players (fun p -> player (view p))
   | Some order ->
-      let players = Array.length views in
       let sorted = Array.copy order in
       Array.sort compare sorted;
       if sorted <> Array.init players (fun i -> i) then
         invalid_arg "Rounds.run_views: schedule is not a permutation of the players";
       fun player ->
         let slots = Array.make players None in
-        Array.iter (fun p -> slots.(p) <- Some (player views.(p))) order;
+        Array.iter (fun p -> slots.(p) <- Some (player (view p))) order;
         Array.map Option.get slots
 
-let run_views ?schedule protocol ~n views coins =
-  let sketch_round = sketch_round ?schedule views in
-  let players = Array.length views in
+let run_players ?schedule protocol ~n ~players view coins =
+  let sketch_round = sketch_round ?schedule ~players view in
   let per_player = Array.make players 0 in
   let round_max = ref [] and round_total = ref [] and round_broadcast = ref [] in
   let state = ref (protocol.init ~n coins) in
@@ -104,8 +103,14 @@ let run_views ?schedule protocol ~n views coins =
       round_broadcast;
     } )
 
+let run_views ?schedule protocol ~n views coins =
+  run_players ?schedule protocol ~n ~players:(Array.length views) (Array.get views) coins
+
+(* One view at a time: a player's neighbour copy is garbage once its
+   sketch is written, instead of all n copies living through the round. *)
 let run protocol g coins =
-  run_views protocol ~n:(Dgraph.Graph.n g) (Model.views g) coins
+  let n = Dgraph.Graph.n g in
+  run_players protocol ~n ~players:n (Model.view g) coins
 
 let pp_stats ppf s =
   Format.fprintf ppf "rounds=%d max=%d bits total=%d bits broadcast=%d bits [per-round max:%s]"

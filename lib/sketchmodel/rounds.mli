@@ -86,6 +86,9 @@ val run_views :
     [Invalid_argument] if [schedule] is not a permutation. *)
 
 val run : ('b, 'a) protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * stats
-(** Run on a graph's standard one-player-per-vertex views. *)
+(** Run on a graph's standard one-player-per-vertex views: the same
+    output and stats as [run_views p ~n (Model.views g)], but each
+    player's view ({!Model.view}) is built when that player runs, so
+    the n neighbour copies never live at once. *)
 
 val pp_stats : Format.formatter -> stats -> unit

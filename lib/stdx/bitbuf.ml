@@ -43,6 +43,10 @@ module Writer = struct
     uvarint w (List.length l);
     List.iter (uvarint w) l
 
+  let int_array w a =
+    uvarint w (Array.length a);
+    Array.iter (uvarint w) a
+
   let string w s =
     if w.len_bits mod 8 = 0 then begin
       (* Aligned fast path: blit whole bytes. *)
@@ -103,6 +107,10 @@ module Reader = struct
   let int_list r =
     let n = uvarint r in
     List.init n (fun _ -> uvarint r)
+
+  let int_array r =
+    let n = uvarint r in
+    Array.init n (fun _ -> uvarint r)
 
   let string r ~len =
     if len < 0 then invalid_arg "Bitbuf.Reader.string: len";

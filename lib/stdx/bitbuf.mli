@@ -31,6 +31,10 @@ module Writer : sig
   val int_list : t -> int list -> unit
   (** Length-prefixed list of non-negative integers, each as a [uvarint]. *)
 
+  val int_array : t -> int array -> unit
+  (** [int_array w a] writes the same bits as [int_list w (Array.to_list a)],
+      without building the list. *)
+
   val string : t -> string -> unit
   (** [string w s] appends every byte of [s], 8 bits each, MSB first —
       [8 * String.length s] bits at any alignment (whole-byte blit when the
@@ -65,6 +69,9 @@ module Reader : sig
 
   val int_list : t -> int list
   (** Read back one {!Writer.int_list}. *)
+
+  val int_array : t -> int array
+  (** Read back one {!Writer.int_list} or {!Writer.int_array} as an array. *)
 
   val string : t -> len:int -> string
   (** [string r ~len] reads back [len] bytes written by {!Writer.string}. *)

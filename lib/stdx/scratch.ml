@@ -16,7 +16,12 @@
    domains — [domain ()] hands each domain its own via [Domain.DLS] —
    which is what makes borrowing race-free without locks and keeps
    [Parallel]'s determinism contract intact (a buffer's contents are a
-   function of the trial that filled it, never of a sibling domain). *)
+   function of the trial that filled it, never of a sibling domain).
+
+   An arena caches for one table, not for the process: the registry
+   ([Core.Exp_registry.table], [measured_table]) calls [clear] on the
+   calling domain's arena when each table ends, so one table's largest
+   buffers are garbage by the time the next table runs. *)
 
 type buf = Ints of int array | Floats of float array
 

@@ -36,7 +36,15 @@
     {!Parallel.init} calls {!chunk_begin} at the start of every chunk
     fill, so the arena (and its table) exists before the first trial
     of the chunk runs — "allocated once per chunk, reused across
-    trials". *)
+    trials".
+
+    {2 Lifetime}
+
+    An arena lives for one experiment table: the registry
+    ([Core.Exp_registry.table], [measured_table]) calls {!clear} on
+    the calling domain's arena when a table ends, also when it raises,
+    so the buffers a table borrowed do not stay resident under the
+    next one. *)
 
 type t
 (** A scratch arena: a table from string keys to cached flat buffers,

@@ -12,8 +12,12 @@
 # round-frontier ~2 MB at --fast on the reference container) but far
 # below the baselines before each optimisation (1528 / 578 / 419 /
 # 28 MB) — they catch a lost optimisation, not runtime noise.
-# coloring-contrast (~22.3 MB; 26.0 MB while its trivial baseline still
-# ran the referee) is tight because that saving is small at --fast.
+# coloring-contrast (14,147,208 bytes, ~13.5 MB) is tight: its ceiling
+# sits below the 22.6 MB that the list-based Palette allocated (26.0 MB
+# while the trivial baseline still ran the referee), so losing the
+# sorted-array lists or the copy-free players fails the gate. Since
+# every reading follows a minor collection, alloc_bytes at jobs=1 is
+# exact, not good to one minor heap, and a tight ceiling does not flap.
 # Raise a ceiling only with a PERFORMANCE.md update explaining the new
 # cost.
 #
@@ -56,6 +60,6 @@ gate bcc              67108864    # 64 MB  (measured ~4 MB;   baseline 1528 MB)
 gate info-accounting  202375168   # 193 MB (measured ~126 MB; baseline 578 MB)
 gate connectivity     146800640   # 140 MB (measured ~73 MB;  baseline 419 MB)
 gate round-frontier   8388608     # 8 MB   (measured ~2 MB;   baseline 28 MB)
-gate coloring-contrast 25165824   # 24 MB  (measured ~22.3 MB; baseline 26 MB)
+gate coloring-contrast 16777216   # 16 MB  (measured ~13.5 MB; baseline 22.6 MB)
 
 echo "alloc-smoke: OK"

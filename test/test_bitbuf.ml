@@ -145,6 +145,19 @@ let qcheck_tests =
            let w = W.create () in
            W.int_list w l;
            R.int_list (R.of_writer w) = l));
+    (* After a 3-bit prefix, so the bytes are compared unaligned too. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"int_array writes the bits of int_list" ~count:300
+         QCheck.(list (int_bound 100000))
+         (fun l ->
+           let via_list = W.create () and via_array = W.create () in
+           W.bits via_list 5 ~width:3;
+           W.bits via_array 5 ~width:3;
+           W.int_list via_list l;
+           W.int_array via_array (Array.of_list l);
+           let r = R.of_writer via_array in
+           ignore (R.bits r ~width:3);
+           W.contents via_list = W.contents via_array && R.int_array r = Array.of_list l));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"mixed width fields roundtrip" ~count:300
          QCheck.(list (pair (int_bound 20) (int_bound ((1 lsl 20) - 1))))

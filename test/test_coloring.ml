@@ -89,8 +89,112 @@ let test_determinism () =
   checkb "same coloring" true (o1.P.coloring = o2.P.coloring);
   checki "same cost" s1.Sketchmodel.Rounds.max_bits s2.Sketchmodel.Rounds.max_bits
 
+(* The list-based implementation this module had before it moved to
+   sorted int arrays, kept as an oracle: same coins, same draws, so the
+   same outcome and the same bits. *)
+module Oracle = struct
+  module Model = Sketchmodel.Model
+  module Rounds = Sketchmodel.Rounds
+  module Writer = Stdx.Bitbuf.Writer
+  module Reader = Stdx.Bitbuf.Reader
+
+  let list_of coins ~delta ~list_size v =
+    let rng = PC.keyed coins "palette" v in
+    let seen = Hashtbl.create list_size in
+    let out = ref [] in
+    let target = min list_size (delta + 1) in
+    while Hashtbl.length seen < target do
+      let c = Stdx.Prng.int rng (delta + 1) in
+      if not (Hashtbl.mem seen c) then begin
+        Hashtbl.replace seen c ();
+        out := c :: !out
+      end
+    done;
+    List.sort compare !out
+
+  let lists_intersect a b = List.exists (fun c -> List.mem c b) a
+
+  let player ~list_fn (view : Model.view) =
+    let w = Writer.create () in
+    let own = list_fn view.Model.vertex in
+    let conflicts =
+      Array.to_list view.Model.neighbors |> List.filter (fun u -> lists_intersect own (list_fn u))
+    in
+    Writer.int_list w conflicts;
+    w
+
+  let try_color ~n ~list_fn conflict_adj order =
+    let colors = Array.make n (-1) in
+    let ok = ref true in
+    Array.iter
+      (fun v ->
+        if !ok then begin
+          let lv = list_fn v in
+          let used =
+            List.filter_map (fun u -> if colors.(u) >= 0 then Some colors.(u) else None) conflict_adj.(v)
+          in
+          match List.find_opt (fun c -> not (List.mem c used)) lv with
+          | Some c -> colors.(v) <- c
+          | None -> ok := false
+        end)
+      order;
+    if !ok then Some colors else None
+
+  let referee ~list_fn ~restarts ~n ~sketches coins =
+    let conflict_adj = Array.make n [] in
+    let edge_count = ref 0 in
+    Array.iteri
+      (fun v r ->
+        List.iter
+          (fun u ->
+            if u >= 0 && u < n && u <> v then begin
+              conflict_adj.(v) <- u :: conflict_adj.(v);
+              if v < u then incr edge_count
+            end)
+          (Reader.int_list r))
+      sketches;
+    let rec attempt i =
+      if i >= restarts then None
+      else
+        let order = Stdx.Prng.permutation (PC.keyed coins "palette-order" i) n in
+        match try_color ~n ~list_fn conflict_adj order with
+        | Some colors -> Some colors
+        | None -> attempt (i + 1)
+    in
+    { P.coloring = attempt 0; conflict_edges = !edge_count }
+
+  let run g coins =
+    let n = G.n g in
+    let delta = max 1 (G.max_degree g) in
+    let list_size = int_of_float (ceil (4. *. log (float_of_int (n + 1)))) + 4 in
+    let table = Hashtbl.create 64 in
+    let list_fn v =
+      match Hashtbl.find_opt table v with
+      | Some l -> l
+      | None ->
+          let l = list_of coins ~delta ~list_size v in
+          Hashtbl.replace table v l;
+          l
+    in
+    Rounds.run
+      (Rounds.one_round
+         {
+           Model.name = "palette-sparsification";
+           player = (fun view _ -> player ~list_fn view);
+           referee = (fun ~n ~sketches coins -> referee ~list_fn ~restarts:10 ~n ~sketches coins);
+         })
+      g coins
+end
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"array Palette matches the list oracle" ~count:100
+         QCheck.(triple (int_range 0 64) (oneofl [ 0.; 0.1; 0.5; 1. ]) (int_range 0 1000))
+         (fun (n, p, seed) ->
+           let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n p in
+           let coins = PC.create (seed + 1) in
+           P.run g coins = Oracle.run g coins));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"palette coloring proper on random graphs" ~count:40
          QCheck.(pair (int_range 2 40) (int_range 0 1000))

@@ -171,6 +171,18 @@ let small_graph_gen =
       let edges = List.filter (fun (u, v) -> u <> v) pairs in
       return (n, edges))
 
+(* Same shape with at most 4 vertices and 4 edges. *)
+let tiny_graph_gen =
+  QCheck.make
+    ~print:(fun (n, edges) -> Printf.sprintf "n=%d edges=%d" n (List.length edges))
+    QCheck.Gen.(
+      int_range 1 4 >>= fun n ->
+      list_size (int_range 0 4) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+      >>= fun pairs -> return (n, List.filter (fun (u, v) -> u <> v) pairs))
+
+(* The list model of a frozen edge set: normalised, unique, sorted. *)
+let list_model edges = List.sort_uniq compare (List.map (fun (u, v) -> (min u v, max u v)) edges)
+
 (* Builder / columnar-core unit tests *)
 
 let test_builder_basic () =
@@ -251,18 +263,43 @@ let test_radix_matches_array_sort () =
     Alcotest.(check (array int)) "radix == Array.sort" b a
   done
 
-let test_distinct_helpers () =
-  let a = [| 0; 0; 1; 3; 3; 3; 9 |] in
-  checki "count_distinct" 4 (C.count_distinct a);
-  checki "empty" 0 (C.count_distinct [||])
+let test_csr_of_sorted_keys () =
+  let csr ~n keys len =
+    let row, col = C.csr_of_sorted_keys ~n keys len in
+    (Array.to_list row, Array.to_list col)
+  in
+  let same = Alcotest.(check (pair (list int) (list int))) in
+  (* A 5-path plus a chord, every key repeated, and one stale slot past
+     [len] that must be ignored. *)
+  let keys = [| 1; 1; 2; 7; 7; 7; 13; 19; 19; 0 |] in
+  same "duplicate keys count once"
+    ([ 0; 2; 4; 7; 9; 10 ], [ 1; 2; 0; 2; 0; 1; 3; 2; 4; 3 ])
+    (csr ~n:5 keys 9);
+  same "n = 0" ([ 0 ], []) (csr ~n:0 [||] 0);
+  same "n = 1" ([ 0; 0 ], []) (csr ~n:1 [| 0 |] 0);
+  (* n^2 - 1 would decode to the self-loop (n-1, n-1), which no freeze
+     produces; the largest key of a simple graph is (n-2)*n + (n-1). *)
+  List.iter
+    (fun n ->
+      let key = ((n - 2) * n) + (n - 1) in
+      same
+        (Printf.sprintf "largest key at n = %d" n)
+        (List.init (n + 1) (fun v -> if v <= n - 2 then 0 else v - (n - 2)), [ n - 1; n - 2 ])
+        (csr ~n [| key |] 1))
+    [ 2; 3; 1000 ]
 
-let test_neighbor_csr () =
-  (* Normalised, lexicographically sorted edge columns of a 5-path plus
-     a chord. *)
-  let eu = [| 0; 0; 1; 2; 3 |] and ev = [| 1; 2; 2; 3; 4 |] in
-  let row, col = C.neighbor_csr ~n:5 ~eu ~ev in
-  Alcotest.(check (array int)) "row_start" [| 0; 2; 4; 7; 9; 10 |] row;
-  Alcotest.(check (array int)) "cols" [| 1; 2; 0; 2; 0; 1; 3; 2; 4; 3 |] col
+let test_of_sorted_csr_rejects () =
+  let rejects name ~n ~row_start ~col =
+    checkb name true
+      (match G.of_sorted_csr ~n ~row_start ~col with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  (* Edges {0,1} in row 0 and {0,2} in row 2: right size, not symmetric. *)
+  rejects "asymmetric rows" ~n:3 ~row_start:[| 0; 1; 1; 2 |] ~col:[| 1; 0 |];
+  rejects "unsorted row" ~n:3 ~row_start:[| 0; 2; 3; 4 |] ~col:[| 2; 1; 0; 0 |];
+  rejects "self-loop" ~n:2 ~row_start:[| 0; 2; 2 |] ~col:[| 0; 0 |];
+  rejects "out of range" ~n:2 ~row_start:[| 0; 1; 2 |] ~col:[| 2; 0 |]
 
 let qcheck_tests =
   [
@@ -334,6 +371,39 @@ let qcheck_tests =
            List.iter (fun (u, v) -> G.Builder.add_edge b u v) edges;
            G.equal g (G.Builder.freeze b)));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"edge scans match the list model" ~count:300 small_graph_gen
+         (fun (n, edges) ->
+           let g = G.create n edges in
+           let model = list_model edges in
+           List.rev (G.fold_edges (fun u v acc -> (u, v) :: acc) g []) = model
+           && (let seen = ref [] in
+               G.iter_edges (fun u v -> seen := (u, v) :: !seen) g;
+               List.rev !seen = model)
+           && Array.to_list (G.edges_array g) = model
+           && G.m g = List.length model));
+    (* Tiny vertex and edge counts, so equal pairs come up often. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"equal iff n and edges match" ~count:500
+         QCheck.(pair tiny_graph_gen tiny_graph_gen)
+         (fun ((na, ea), (nb, eb)) ->
+           let a = G.create na ea and b = G.create nb eb in
+           G.equal a b = (na = nb && list_model ea = list_model eb)
+           && G.equal a (G.create na (List.rev_map (fun (u, v) -> (v, u)) ea))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"of_sorted_csr rejects asymmetric rows" ~count:300 small_graph_gen
+         (fun (n, edges) ->
+           let g = G.create n edges in
+           (* Keep only each edge's upper-triangle half-edge. *)
+           let rows = List.init n (fun v -> List.filter (fun u -> u > v) (Array.to_list (G.neighbors g v))) in
+           let row_start = Array.make (n + 1) 0 in
+           List.iteri (fun v r -> row_start.(v + 1) <- row_start.(v) + List.length r) rows;
+           let col = Array.of_list (List.concat rows) in
+           G.m g = 0
+           ||
+           match G.of_sorted_csr ~n ~row_start ~col with
+           | _ -> false
+           | exception Invalid_argument _ -> true));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"disjoint_union fast path equals create" ~count:200
          QCheck.(pair small_graph_gen small_graph_gen)
          (fun ((na, ea), (nb, eb)) ->
@@ -368,6 +438,7 @@ let () =
           Alcotest.test_case "builder rejects" `Quick test_builder_rejects;
           Alcotest.test_case "of_edge_array" `Quick test_of_edge_array;
           Alcotest.test_case "of_sorted_csr round-trip" `Quick test_of_sorted_csr_roundtrip;
+          Alcotest.test_case "of_sorted_csr rejects" `Quick test_of_sorted_csr_rejects;
           Alcotest.test_case "neighbors owned copy" `Quick test_neighbors_owned_copy;
           Alcotest.test_case "neighbor iterators" `Quick test_neighbor_iterators;
         ] );
@@ -387,8 +458,7 @@ let () =
         [
           Alcotest.test_case "sort_keys all sizes" `Quick test_sort_keys_small_and_large;
           Alcotest.test_case "radix == Array.sort" `Quick test_radix_matches_array_sort;
-          Alcotest.test_case "distinct helpers" `Quick test_distinct_helpers;
-          Alcotest.test_case "neighbor csr" `Quick test_neighbor_csr;
+          Alcotest.test_case "csr_of_sorted_keys" `Quick test_csr_of_sorted_keys;
         ] );
       ("graph-properties", qcheck_tests);
     ]

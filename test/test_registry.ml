@@ -74,6 +74,66 @@ let test_json_round_trip () =
         tbl.T.rows)
     (Core.Exp_all.all ())
 
+(* The same table measured twice in one process must book the same
+   allocation: [alloc_bytes] is exact, not good to one minor heap. *)
+let test_alloc_bytes_exact () =
+  List.iter
+    (fun id ->
+      match Core.Exp_all.find id with
+      | None -> Alcotest.failf "no experiment %S" id
+      | Some e ->
+          let measure () =
+            (snd (R.measured_table e (("jobs", R.Vint 1) :: R.overrides_for ~fast:true e)))
+              .R.alloc_bytes
+          in
+          let first = measure () in
+          Alcotest.(check (float 0.)) (id ^ ": equal readings") first (measure ()))
+    [ "round-frontier"; "claim31" ]
+
+(* An experiment whose body borrows arena buffers and then, when [fail],
+   raises. *)
+let borrowing_experiment ~fail : R.experiment =
+  (module struct
+    type row = int
+
+    let id = "arena-probe"
+    let title = "probe"
+    let doc = "Borrows scratch buffers."
+    let params = R.std_params []
+    let schema = [ T.int_col ~width:4 "x" ]
+    let to_row x = [ T.Int x ]
+
+    let run _ =
+      let arena = Stdx.Scratch.domain () in
+      ignore (Stdx.Scratch.ints arena "probe.ints" 1000);
+      ignore (Stdx.Scratch.floats arena "probe.floats" 1000);
+      if fail then failwith "probe failed";
+      [ 1 ]
+
+    let preamble _ _ = []
+    let footer _ = []
+    let fast_overrides = []
+    let full_overrides = []
+    let smoke = []
+  end)
+
+let test_arena_scope () =
+  let keys () = (Stdx.Scratch.stats (Stdx.Scratch.domain ())).Stdx.Scratch.keys in
+  ignore (R.measured_table (borrowing_experiment ~fail:false) []);
+  checki "no keys after a table" 0 (keys ());
+  ignore (R.table (borrowing_experiment ~fail:false) []);
+  checki "no keys after an unmeasured table" 0 (keys ());
+  (match R.measured_table (borrowing_experiment ~fail:true) [] with
+  | _ -> Alcotest.fail "the probe should raise"
+  | exception Failure _ -> ());
+  checki "no keys after a table that raised" 0 (keys ());
+  (* A registered table that freezes graphs (and so borrows the radix
+     buffers) leaves nothing behind either. *)
+  (match Core.Exp_all.find "reduction" with
+  | Some e -> ignore (R.measured_table e (R.smoke e @ [ ("jobs", R.Vint 1) ]))
+  | None -> Alcotest.fail "no reduction experiment");
+  checki "no keys after reduction" 0 (keys ())
+
 let () =
   Alcotest.run "registry"
     [
@@ -87,5 +147,10 @@ let () =
         [
           Alcotest.test_case "smoke tables validate" `Quick test_smoke_tables;
           Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
+        ] );
+      ( "measurement",
+        [
+          Alcotest.test_case "alloc_bytes exact" `Quick test_alloc_bytes_exact;
+          Alcotest.test_case "arena cleared after each table" `Quick test_arena_scope;
         ] );
     ]

@@ -258,6 +258,59 @@ let test_schedule_independence () =
   multi_round "frontier r=3" (Protocols.Frontier.protocol ~rounds:3 ~n:(G.n g));
   multi_round "luby random" (Protocols.Luby.protocol Protocols.Luby.Random ~n:(G.n g))
 
+(* [Rounds.run] builds each view when its player runs; it must agree
+   with running the materialised [Model.views] array, output and whole
+   stats, for every graph protocol the daemon serves on the round
+   engine. *)
+let same_as_views g p =
+  List.for_all
+    (fun seed ->
+      let coins = PC.create seed in
+      Rounds.run p g coins = Rounds.run_views p ~n:(G.n g) (Model.views g) coins)
+    [ 1; 2; 3 ]
+
+let test_run_matches_run_views () =
+  let engines =
+    [
+      ("trivial-mm", fun g -> Rounds.one_round Protocols.Trivial.mm |> same_as_views g);
+      ("trivial-mis", fun g -> Rounds.one_round Protocols.Trivial.mis |> same_as_views g);
+      ("local-minima", fun g -> Rounds.one_round Protocols.One_round_mis.local_minima |> same_as_views g);
+      ("two-round-mm", fun g -> Protocols.Two_round_mm.protocol ~n:(G.n g) () |> same_as_views g);
+      ("two-round-mis", fun g -> Protocols.Two_round_mis.protocol ~n:(G.n g) () |> same_as_views g);
+      ("prefix-mis-r4", fun g -> Protocols.Frontier.protocol ~rounds:4 ~n:(G.n g) |> same_as_views g);
+      ( "luby-mis-random",
+        fun g -> Protocols.Luby.protocol Protocols.Luby.Random ~n:(G.n g) |> same_as_views g );
+      ( "luby-mis-degree",
+        fun g -> Protocols.Luby.protocol Protocols.Luby.Degree ~n:(G.n g) |> same_as_views g );
+      ( "luby-mis-index",
+        fun g -> Protocols.Luby.protocol Protocols.Luby.Index ~n:(G.n g) |> same_as_views g );
+    ]
+  in
+  (* Every served graph protocol that runs on the round engine is here;
+     stream-matching runs on a stream, not on player views. *)
+  List.iter
+    (fun (id, (p : Server.Simulate.protocol)) ->
+      match p.Server.Simulate.input with
+      | Server.Simulate.Graph _ when id <> "stream-matching" ->
+          checkb (id ^ " is covered") true (List.mem_assoc id engines)
+      | _ -> ())
+    Server.Simulate.protocols;
+  let graphs =
+    [
+      G.empty 0;
+      Dgraph.Gen.path 7;
+      Dgraph.Gen.complete 9;
+      Dgraph.Gen.gnp (Stdx.Prng.create 3) 40 0.15;
+      Dgraph.Gen.gnp (Stdx.Prng.create 4) 64 0.5;
+    ]
+  in
+  List.iter
+    (fun (id, same) ->
+      List.iteri
+        (fun i g -> checkb (Printf.sprintf "%s on graph %d" id i) true (same g))
+        graphs)
+    engines
+
 let () =
   Alcotest.run "sketchmodel"
     [
@@ -279,5 +332,9 @@ let () =
           Alcotest.test_case "schedule independence" `Quick test_schedule_independence;
         ] );
       ( "rounds",
-        [ Alcotest.test_case "two-round accounting" `Quick test_two_round_accounting ] );
+        [
+          Alcotest.test_case "two-round accounting" `Quick test_two_round_accounting;
+          Alcotest.test_case "run equals run_views on served protocols" `Quick
+            test_run_matches_run_views;
+        ] );
     ]
