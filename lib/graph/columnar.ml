@@ -11,13 +11,15 @@ let int_compare (a : int) b = compare a b
 let radix_threshold = 512
 
 (* LSD radix sort, base 256, on non-negative keys. One scratch array of
-   [len] plus one 257-slot count buffer reused across passes; the number
-   of passes is the byte-width of the largest key, so graph keys bounded
-   by n^2 take ceil(2*log2(n)/8) passes instead of the comparison sort's
-   log-factor of generic-compare calls. Replaces [Array.sort] in the
+   at least [len] (only its first [len] slots are used, so a longer
+   buffer left by an earlier, larger freeze serves as is) plus one
+   257-slot count buffer reused across passes; the number of passes is
+   the byte-width of the largest key, so graph keys bounded by n^2 take
+   ceil(2*log2(n)/8) passes instead of the comparison sort's log-factor
+   of generic-compare calls. Replaces [Array.sort] in the
    `graph.sort` phase. Both scratch buffers are arena borrows
    (PERFORMANCE.md): the sort is a leaf, so the keys are exclusive to
-   this call site, and repeated freezes of same-sized key sets reuse the
+   this call site, and repeated freezes of no larger key sets reuse the
    same buffers. *)
 let radix_sort_nonneg a =
   let len = Array.length a in
@@ -27,7 +29,7 @@ let radix_sort_nonneg a =
       if a.(i) > !max_key then max_key := a.(i)
     done;
     let arena = Stdx.Scratch.domain () in
-    let buf = Stdx.Scratch.dirty_ints arena "columnar.radix-buf" len in
+    let buf = Stdx.Scratch.dirty_ints_at_least arena "columnar.radix-buf" len in
     let count = Stdx.Scratch.dirty_ints arena "columnar.radix-count" 257 in
     let src = ref a and dst = ref buf in
     let shift = ref 0 in

@@ -10,9 +10,9 @@
    produces; [test_server] pins that.
 
    Derivations are fixed and documented in the mli: the graph generator is
-   [Prng.split (Prng.create seed) 1], the coins are
-   [Public_coins.create seed]. Everything downstream is deterministic, so
-   simulate responses are cacheable like experiment runs. *)
+   [Prng.split_seed seed 1], the coins are [Public_coins.create seed].
+   Everything downstream is deterministic, so simulate responses are
+   cacheable like experiment runs. *)
 
 module T = Report.Tabular
 module Rounds = Sketchmodel.Rounds
@@ -27,8 +27,8 @@ type gspec =
 
 type spec = { protocol : string; graph : gspec; seed : int }
 
-let graph_rng seed = Stdx.Prng.split (Stdx.Prng.create seed) 1
-let stream_rng seed = Stdx.Prng.split (Stdx.Prng.create seed) 2
+let graph_rng seed = Stdx.Prng.split_seed seed 1
+let stream_rng seed = Stdx.Prng.split_seed seed 2
 let coins seed = Sketchmodel.Public_coins.create seed
 
 let graph_of_spec { graph; seed; _ } =

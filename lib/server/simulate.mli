@@ -3,12 +3,12 @@
 
     Determinism contract (what makes simulate responses cacheable and
     testable): for a [spec] with seed [s], the graph generator is
-    [Stdx.Prng.split (Stdx.Prng.create s) 1] and the public coins are
-    [Sketchmodel.Public_coins.create s]. An in-process run of the same
-    protocol over {!graph_of_spec} (or {!hypergraph_of_spec}) with
-    {!coins} on [Sketchmodel.Rounds] (one-round protocols lifted by
-    [Rounds.one_round]) produces {e exactly} the [max_bits] /
-    [total_bits] the response reports. *)
+    [Stdx.Prng.split_seed s 1] (that is, [split (create s) 1]) and the
+    public coins are [Sketchmodel.Public_coins.create s]. An in-process
+    run of the same protocol over {!graph_of_spec} (or
+    {!hypergraph_of_spec}) with {!coins} on [Sketchmodel.Rounds]
+    (one-round protocols lifted by [Rounds.one_round]) produces
+    {e exactly} the [max_bits] / [total_bits] the response reports. *)
 
 module T = Report.Tabular
 
@@ -31,7 +31,7 @@ val graph_rng : int -> Stdx.Prng.t
 
 val stream_rng : int -> Stdx.Prng.t
 (** The generator a seed derives for edge-stream order
-    ([Stdx.Prng.split (Stdx.Prng.create seed) 2]): what the
+    ([Stdx.Prng.split_seed seed 2]): what the
     [stream-matching] protocol shuffles the input's edges with. *)
 
 val coins : int -> Sketchmodel.Public_coins.t

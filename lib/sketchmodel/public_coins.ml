@@ -12,10 +12,8 @@ let string_key label =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) label;
   Stdx.Hashing.mix64 (!h land max_int)
 
-let global c label = Stdx.Prng.split (Stdx.Prng.create c.seed) (string_key label)
-
-let keyed c label i =
-  Stdx.Prng.split (Stdx.Prng.create c.seed) (string_key label lxor Stdx.Hashing.mix64 (i + 1))
+let global c label = Stdx.Prng.split_seed c.seed (string_key label)
+let keyed c label i = Stdx.Prng.split_seed c.seed (string_key label lxor Stdx.Hashing.mix64 (i + 1))
 
 let derive c label i =
   { seed = Stdx.Hashing.mix64 (c.seed lxor string_key label lxor Stdx.Hashing.mix64 (i + 0x51)) }

@@ -1,53 +1,79 @@
 (* xoshiro256** seeded through SplitMix64.  All state is explicit so that
-   public coins can be re-derived by (seed, key) without communication. *)
+   public coins can be re-derived by (seed, key) without communication.
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64; seed : int }
+   State layout: the four 64-bit xoshiro words live unboxed in one
+   32-byte [Bytes.t] (word i at byte offset 8i, native byte order; only
+   this module reads them back, so the order never shows). A record of
+   [mutable int64] fields would box every word it stores, six fresh
+   boxes per draw; here [bits64] loads the words into local [int64]s, runs
+   one xoshiro step on them and stores them back, and because it is
+   inlined into each draw the compiler keeps every intermediate in a
+   register. Allocation contract: [int], [bool], [bernoulli] and
+   [fill_bools] (and the internal [bits]) allocate nothing; [bits64] and
+   [float] allocate their one boxed result; [create], [split],
+   [split_seed] and [copy] allocate the record and its buffer. *)
 
-let splitmix64_next state =
+type t = { st : Bytes.t; seed : int }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+(* The SplitMix64 output function; the k-th SplitMix64 state of a seed
+   [x] is [x + k * golden_gamma], so each step below is a pure function
+   of the seed and the step index. *)
+let[@inline] splitmix64_mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3; seed }
+  let open Int64 in
+  let x = of_int seed in
+  let st = Bytes.create 32 in
+  set64 st 0 (splitmix64_mix (add x golden_gamma));
+  set64 st 8 (splitmix64_mix (add x (mul 2L golden_gamma)));
+  set64 st 16 (splitmix64_mix (add x (mul 3L golden_gamma)));
+  set64 st 24 (splitmix64_mix (add x (mul 4L golden_gamma)));
+  { st; seed }
 
 (* Mix the original seed with the key through SplitMix64 so that derived
    streams for distinct keys are unrelated. *)
-let split g key =
-  let state = ref (Int64.of_int g.seed) in
-  let a = splitmix64_next state in
-  let mixed =
-    Int64.to_int (Int64.logxor a (Int64.mul (Int64.of_int key) 0x9E3779B97F4A7C15L))
-    land max_int
-  in
-  create mixed
-
-let copy g = { g with s0 = g.s0 }
-
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
-
-let bits64 g =
+let split_seed seed key =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let a = splitmix64_mix (add (of_int seed) golden_gamma) in
+  create (to_int (logxor a (mul (of_int key) golden_gamma)) land Stdlib.max_int)
+
+let split g key = split_seed g.seed key
+let copy g = { st = Bytes.copy g.st; seed = g.seed }
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256** step: the next 64 output bits. *)
+let[@inline] bits64 g =
+  let open Int64 in
+  let st = g.st in
+  let s0 = get64 st 0 and s1 = get64 st 8 and s2 = get64 st 16 and s3 = get64 st 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 st 8 (logxor s1 s2);
+  set64 st 0 (logxor s0 s3);
+  set64 st 16 (logxor s2 t);
+  set64 st 24 (rotl s3 45);
   result
 
 (* 62 uniform non-negative bits as a native int. *)
-let bits g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+let[@inline] bits g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
+
+(* [bits] is uniform on [0, 2^62); accept below [limit], the largest
+   multiple of [bound] representable there. *)
+let rec int_rejecting g bound limit =
+  let v = bits g in
+  if v < limit then v mod bound else int_rejecting g bound limit
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -55,34 +81,25 @@ let int g bound =
   let mask_bound = bound - 1 in
   if bound land mask_bound = 0 then bits g land mask_bound
   else
-    (* [bits] is uniform on [0, 2^62); accept below the largest multiple of
-       [bound] representable there (computed via max_int = 2^62 - 1 to avoid
-       overflowing the native int). *)
-    let limit = max_int / bound * bound in
-    let rec draw () =
-      let v = bits g in
-      if v < limit then v mod bound else draw ()
-    in
-    draw ()
+    (* max_int = 2^62 - 1, so the multiple is computed without overflowing
+       the native int. *)
+    int_rejecting g bound (max_int / bound * bound)
 
-let int_in g lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int g (hi - lo + 1)
+let[@inline] unit_float r =
+  Stdlib.float_of_int (Int64.to_int (Int64.shift_right_logical r 11)) *. 0x1p-53
 
-let float g = Stdlib.float_of_int (Int64.to_int (Int64.shift_right_logical (bits64 g) 11)) *. 0x1p-53
-
+let float g = unit_float (bits64 g)
 let bool g = Int64.logand (bits64 g) 1L = 1L
 
-(* One [bits64] per element, exactly like repeated [bool] calls — the
-   draw sequence is pinned by goldens, so the win is the single tight
-   loop over a preallocated array (no per-element closure dispatch), not
-   fewer draws. *)
+(* One xoshiro step per element, exactly like repeated [bool] calls —
+   the draw sequence is pinned by goldens, so the win is the single
+   tight loop over a preallocated array, not fewer draws. *)
 let fill_bools g a =
   for i = 0 to Array.length a - 1 do
     Array.unsafe_set a i (Int64.logand (bits64 g) 1L = 1L)
   done
 
-let bernoulli g p = float g < p
+let bernoulli g p = unit_float (bits64 g) < p
 
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
@@ -111,9 +128,3 @@ let sample_distinct g k n =
     incr pos
   done;
   out
-
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int g (Array.length a))
-
-let subset_mask g n ~p = Array.init n (fun _ -> bernoulli g p)

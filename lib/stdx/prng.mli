@@ -8,7 +8,14 @@
     reproducible bit-for-bit.
 
     The generator is xoshiro256** seeded through SplitMix64, the standard
-    combination recommended by the xoshiro authors. *)
+    combination recommended by the xoshiro authors.
+
+    {b State and allocation.} The four 64-bit state words are kept
+    unboxed in one 32-byte buffer beside the seed, and each draw runs
+    its xoshiro step on local unboxed integers. So {!int}, {!bool},
+    {!bernoulli} and {!fill_bools} allocate nothing per draw
+    (pinned by an allocation test in [test_prng.ml]); {!bits64} and
+    {!float} allocate only their boxed result. *)
 
 type t
 (** Mutable generator state. *)
@@ -36,6 +43,11 @@ val split : t -> int -> t
     published table, so any change must update those goldens (and the
     recorded tables) deliberately. *)
 
+val split_seed : int -> int -> t
+(** [split_seed seed key] is [split (create seed) key], without building
+    the parent generator. Use it where only a seed is at hand, as
+    public coins are. *)
+
 val copy : t -> t
 (** [copy g] duplicates the state; the copy evolves independently. *)
 
@@ -44,9 +56,6 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
@@ -73,10 +82,3 @@ val permutation : t -> int -> int array
 val sample_distinct : t -> int -> int -> int array
 (** [sample_distinct g k n] draws [k] distinct values from [\[0, n)]
     uniformly (Floyd's algorithm). Requires [k <= n]. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
-val subset_mask : t -> int -> p:float -> bool array
-(** [subset_mask g n ~p] keeps each of [n] items independently with
-    probability [p]; used for the half-edge-dropping step of [D_MM]. *)

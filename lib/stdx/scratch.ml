@@ -8,7 +8,8 @@
    buffers. A borrow returns the cached buffer when the requested
    length matches the cached one and reallocates otherwise — steady
    workloads (every trial at the same [n]) reallocate once per domain
-   and then only reset.
+   and then only reset. An at-least borrow also takes a longer cached
+   buffer, for callers whose lengths vary from one call to the next.
 
    Ownership is by key: a borrow of key [k] invalidates every earlier
    borrow of [k] in the same domain (same backing store), so each call
@@ -50,11 +51,11 @@ let chunk_begin () =
 
 let chunk_count () = !(Domain.DLS.get chunks)
 
-let ints_raw t name len ~zero =
+let ints_raw t name len ~zero ~at_least =
   if len < 0 then invalid_arg "Scratch.ints: negative length";
   t.borrows <- t.borrows + 1;
   match Hashtbl.find_opt t.tbl name with
-  | Some (Ints a) when Array.length a = len ->
+  | Some (Ints a) when Array.length a = len || (at_least && Array.length a > len) ->
       if zero then Array.fill a 0 len 0;
       a
   | _ ->
@@ -63,8 +64,9 @@ let ints_raw t name len ~zero =
       Hashtbl.replace t.tbl name (Ints a);
       a
 
-let ints t name len = ints_raw t name len ~zero:true
-let dirty_ints t name len = ints_raw t name len ~zero:false
+let ints t name len = ints_raw t name len ~zero:true ~at_least:false
+let dirty_ints t name len = ints_raw t name len ~zero:false ~at_least:false
+let dirty_ints_at_least t name len = ints_raw t name len ~zero:false ~at_least:true
 
 let floats_raw t name len ~zero =
   if len < 0 then invalid_arg "Scratch.floats: negative length";

@@ -54,9 +54,10 @@ type stats = {
   keys : int;  (** Distinct buffer keys currently cached. *)
   borrows : int;  (** Total borrows since creation or {!clear}. *)
   reallocs : int;
-      (** Borrows that had to allocate (first use of a key, or a
-          length change). [reallocs] staying flat while [borrows]
-          grows is the signature of a healthy steady-state arena. *)
+      (** Borrows that had to allocate (first use of a key, a length
+          change, or an at-least borrow longer than the cached
+          buffer). [reallocs] staying flat while [borrows] grows is
+          the signature of a healthy steady-state arena. *)
   live_words : int;
       (** Approximate words held by cached buffers (array contents
           plus one header word each). *)
@@ -82,6 +83,13 @@ val dirty_ints : t -> string -> int -> int array
 (** Like {!ints} but skips the zero fill — the caller promises to
     write every slot it reads. A fresh allocation (length change or
     first borrow) is still all-zero. *)
+
+val dirty_ints_at_least : t -> string -> int -> int array
+(** Like {!dirty_ints}, but the returned buffer is {e at least} [len]
+    long: a cached buffer longer than [len] is reused rather than
+    replaced, so a key borrowed at varying lengths reallocates only
+    when it grows. The caller must index only the first [len] slots and
+    never read [Array.length] of the result. *)
 
 val floats : t -> string -> int -> float array
 (** [float array] analogue of {!ints} (zero-filled with [0.0]). *)

@@ -8,13 +8,14 @@
 # experiment's body allocation exceeds its committed ceiling.
 #
 # Most ceilings are deliberately loose against the measured numbers
-# (bcc ~4 MB, info-accounting ~126 MB, connectivity ~73 MB,
-# round-frontier ~2 MB at --fast on the reference container) but far
+# (bcc ~1.6 MB, info-accounting ~126 MB, connectivity ~73 MB,
+# round-frontier ~1.2 MB at --fast on the reference container) but far
 # below the baselines before each optimisation (1528 / 578 / 419 /
 # 28 MB) — they catch a lost optimisation, not runtime noise.
-# coloring-contrast (14,147,208 bytes, ~13.5 MB) is tight: its ceiling
-# sits below the 22.6 MB that the list-based Palette allocated (26.0 MB
-# while the trivial baseline still ran the referee), so losing the
+# coloring-contrast (3,900,984 bytes, ~3.7 MB) is tight: its 6 MiB
+# ceiling sits below the 14,147,208 bytes it allocated while every
+# Prng draw boxed its state words, and far below the 22.6 MB of the
+# list-based Palette, so losing the allocation-free draws, the
 # sorted-array lists or the copy-free players fails the gate. Since
 # every reading follows a minor collection, alloc_bytes at jobs=1 is
 # exact, not good to one minor heap, and a tight ceiling does not flap.
@@ -56,10 +57,10 @@ gate() { # id ceiling_bytes
   echo "alloc-smoke: $id $bytes bytes <= $ceiling ok"
 }
 
-gate bcc              67108864    # 64 MB  (measured ~4 MB;   baseline 1528 MB)
+gate bcc              67108864    # 64 MB  (measured ~1.6 MB; baseline 1528 MB)
 gate info-accounting  202375168   # 193 MB (measured ~126 MB; baseline 578 MB)
 gate connectivity     146800640   # 140 MB (measured ~73 MB;  baseline 419 MB)
-gate round-frontier   8388608     # 8 MB   (measured ~2 MB;   baseline 28 MB)
-gate coloring-contrast 16777216   # 16 MB  (measured ~13.5 MB; baseline 22.6 MB)
+gate round-frontier   8388608     # 8 MB   (measured ~1.2 MB; baseline 28 MB)
+gate coloring-contrast 6291456    # 6 MiB  (measured ~3.7 MB; boxed Prng 13.5 MB; list Palette 22.6 MB)
 
 echo "alloc-smoke: OK"

@@ -1,8 +1,8 @@
 (* Tests for Stdx.Scratch: the per-domain keyed arena behind the hot
    experiment loops. Pins the ownership contract of PERFORMANCE.md —
    zero-fill on borrow, physical reuse at a stable length, realloc on a
-   length change, key exclusivity, dirty borrows, and the Parallel
-   chunk wiring. *)
+   length change, key exclusivity, dirty and at-least borrows, and the
+   Parallel chunk wiring. *)
 
 module S = Stdx.Scratch
 
@@ -68,6 +68,18 @@ let test_dirty_borrow () =
   let c = S.ints t "k" 8 in
   checkb "clean borrow of the same key resets" true (Array.for_all (fun x -> x = 0) c)
 
+let test_at_least_borrow () =
+  let t = S.create () in
+  let a = S.dirty_ints_at_least t "k" 16 in
+  checki "first borrow has the asked length" 16 (Array.length a);
+  checkb "a shorter borrow reuses the longer buffer" true (a == S.dirty_ints_at_least t "k" 5);
+  checkb "an equal borrow reuses it" true (a == S.dirty_ints_at_least t "k" 16);
+  checki "no realloc while it fits" 1 (S.stats t).S.reallocs;
+  let b = S.dirty_ints_at_least t "k" 17 in
+  checkb "growing past it reallocates" true ((not (a == b)) && Array.length b = 17);
+  checki "one realloc for the growth" 2 (S.stats t).S.reallocs;
+  checki "every borrow counted" 4 (S.stats t).S.borrows
+
 let test_negative_length () =
   let t = S.create () in
   List.iter
@@ -75,6 +87,7 @@ let test_negative_length () =
     [
       ("Scratch.ints: negative length", fun () -> ignore (S.ints t "k" (-1)));
       ("Scratch.ints: negative length", fun () -> ignore (S.dirty_ints t "k" (-1)));
+      ("Scratch.ints: negative length", fun () -> ignore (S.dirty_ints_at_least t "k" (-1)));
       ("Scratch.floats: negative length", fun () -> ignore (S.floats t "k" (-1)));
       ("Scratch.floats: negative length", fun () -> ignore (S.dirty_floats t "k" (-1)));
     ]
@@ -129,6 +142,7 @@ let () =
           Alcotest.test_case "realloc on length change" `Quick test_realloc_on_length_change;
           Alcotest.test_case "key exclusivity" `Quick test_key_exclusivity;
           Alcotest.test_case "dirty borrow" `Quick test_dirty_borrow;
+          Alcotest.test_case "at-least borrow" `Quick test_at_least_borrow;
           Alcotest.test_case "negative length" `Quick test_negative_length;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "live words" `Quick test_live_words;
