@@ -25,36 +25,18 @@ let forests_player config ~n ~k (view : Model.view) coins =
   w
 
 let forests_referee config ~n ~k ~sketches coins =
-  (* Parse the k stacks of every vertex into one flat arena borrow; the
-     whole parse must survive the peeling below, which subtracts prior
-     forests from later stacks in place. *)
-  let params = Array.init k (fun j -> SF.sampler_params config ~n (forest_coins coins j)) in
-  let stack_off = Array.make (k + 1) 0 in
-  for j = 0 to k - 1 do
-    stack_off.(j + 1) <- stack_off.(j) + SF.stack_words params.(j)
-  done;
-  let vertex_words = stack_off.(k) in
-  let buf =
-    Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "conn.forests-referee"
-      (Array.length sketches * vertex_words)
-  in
-  let parsed =
-    Array.mapi
-      (fun v r ->
-        (* Stacks are serialised j = 0 .. k-1, so thread the reader in
-           that order at explicit offsets. *)
-        let stacks = Array.make k [||] in
-        for j = 0 to k - 1 do
-          stacks.(j) <- SF.read_stack_into params.(j) buf ((v * vertex_words) + stack_off.(j)) r
-        done;
-        stacks)
-      sketches
-  in
-  (* Peel: decode forest j after subtracting forests 0..j-1 from stack j —
-     pure referee-side linear algebra, no player involvement. *)
+  let arena = Stdx.Scratch.domain () in
   let forests = Array.make k [] in
   for j = 0 to k - 1 do
-    let stacks_j = Array.init n (fun v -> parsed.(v).(j)) in
+    (* Stacks are serialised j = 0 .. k-1, so forest j's stack is next
+       on every reader: parse it only now, into one borrow that all k
+       forests share (forest j-1's stacks are dead once it is decoded). *)
+    let params = SF.sampler_params config ~n (forest_coins coins j) in
+    let sw = SF.stack_words params in
+    let buf = Stdx.Scratch.dirty_ints arena "conn.forests-referee" (Array.length sketches * sw) in
+    let stacks_j = Array.mapi (fun v r -> SF.read_stack_into params buf (v * sw) r) sketches in
+    (* Peel: subtract forests 0..j-1 from stack j before decoding it —
+       pure referee-side linear algebra, no player involvement. *)
     for prior = 0 to j - 1 do
       List.iter
         (fun (u, v) ->
@@ -158,21 +140,20 @@ let bipartiteness_referee config ~n ~sketches coins =
     SF.sampler_params config ~n:(2 * n) (Public_coins.derive coins "agm-bip-cover" 0)
   in
   let gw = SF.stack_words g_params and cw = SF.stack_words cover_params in
-  (* Both decodes below run after the full parse, so all 3n stacks share
-     one borrow: per vertex, its G stack then its two cover stacks. *)
+  (* Each message is its G stack, then its two cover stacks. Parse and
+     decode the G stacks first; only then parse the 2n cover stacks, into
+     the same borrow (the G stacks are dead by then). *)
   let buf =
-    Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "conn.bip-referee" (n * (gw + (2 * cw)))
+    Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "conn.bip-referee" (n * max gw (2 * cw))
   in
-  let g_stacks = Array.make n [||] in
+  let g_stacks = Array.mapi (fun v r -> SF.read_stack_into g_params buf (v * gw) r) sketches in
+  let g_components = n - List.length (SF.decode_forest ~n ~per_vertex:g_stacks) in
   let cover_stacks = Array.make (2 * n) [||] in
   Array.iteri
     (fun v r ->
-      let off = v * (gw + (2 * cw)) in
-      g_stacks.(v) <- SF.read_stack_into g_params buf off r;
-      cover_stacks.(v) <- SF.read_stack_into cover_params buf (off + gw) r;
-      cover_stacks.(n + v) <- SF.read_stack_into cover_params buf (off + gw + cw) r)
+      cover_stacks.(v) <- SF.read_stack_into cover_params buf (v * cw) r;
+      cover_stacks.(n + v) <- SF.read_stack_into cover_params buf ((n + v) * cw) r)
     sketches;
-  let g_components = n - List.length (SF.decode_forest ~n ~per_vertex:g_stacks) in
   let cover_components =
     (2 * n) - List.length (SF.decode_forest ~n:(2 * n) ~per_vertex:cover_stacks)
   in

@@ -6,14 +6,18 @@
     stacks. The referee peels: decode a spanning forest [F₁] from stack 1,
     {e subtract} its edges from stack 2 (linearity lets the referee do
     this without any player involvement), decode [F₂] of [G − F₁], and so
-    on. The union [F₁ ∪ … ∪ F_k] is a sparse certificate preserving every
-    cut value up to [k] (Nagamochi–Ibaraki), so
-    [min(k, edge-connectivity)] is computable from sketches alone.
+    on. It parses stack [j] of every vertex only when it peels [F_j], so
+    it holds [n] stacks at a time, not [n·k]. The union
+    [F₁ ∪ … ∪ F_k] is a sparse certificate preserving every cut value up
+    to [k] (Nagamochi–Ibaraki), so [min(k, edge-connectivity)] is
+    computable from sketches alone.
 
     {b Bipartiteness.} [G] is bipartite iff its bipartite double cover has
     exactly twice as many connected components. Each vertex of [G] can
     construct its two double-cover views locally, so one round of
-    [2×]-size AGM sketches decides bipartiteness. *)
+    [2×]-size AGM sketches decides bipartiteness. The referee parses and
+    decodes the [n] stacks on [G] before it parses the [2n] cover
+    stacks, into the same buffer. *)
 
 type certificate = {
   forests : Dgraph.Graph.edge list array;  (** [forests.(j)] is [F_{j+1}] *)

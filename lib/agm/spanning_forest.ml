@@ -80,16 +80,17 @@ let read_stack_into params buf off r =
     params
 
 (* Borůvka: in round [j] every component sums its members' round-[j]
-   samplers and decodes one outgoing edge; internal edges cancel by
-   construction, so any decoded coordinate crosses the cut. *)
-let decode_forest ~n ~per_vertex =
+   samplers ([round_samplers j], asked for once per round and only while
+   the forest grows) and decodes one outgoing edge; internal edges
+   cancel by construction, so any decoded coordinate crosses the cut. *)
+let decode_rounds ~n ~rounds round_samplers =
   let arena = Stdx.Scratch.domain () in
   let uf = Dgraph.Unionfind.create n in
   let forest = ref [] in
-  let round_count = if Array.length per_vertex = 0 then 0 else Array.length per_vertex.(0) in
   let continue = ref true in
   let round = ref 0 in
-  while !continue && !round < round_count do
+  while !continue && !round < rounds do
+    let samplers = round_samplers !round in
     let members = Dgraph.Unionfind.class_members uf in
     let merged = ref false in
     let candidates = ref [] in
@@ -102,8 +103,8 @@ let decode_forest ~n ~per_vertex =
             (* Accumulate the component's samplers into one arena borrow
                instead of a fresh buffer per [combine] — re-borrowed (and
                so invalidated) at the next component, after decoding. *)
-            let combined = L0.scratch_copy arena "sf.decode-acc" per_vertex.(first).(!round) in
-            List.iter (fun v -> L0.add_into ~dst:combined per_vertex.(v).(!round)) rest;
+            let combined = L0.scratch_copy arena "sf.decode-acc" samplers.(first) in
+            List.iter (fun v -> L0.add_into ~dst:combined samplers.(v)) rest;
             (match L0.decode combined with
             | Some (idx, _) -> candidates := idx :: !candidates
             | None -> ()))
@@ -122,17 +123,23 @@ let decode_forest ~n ~per_vertex =
   done;
   List.rev !forest
 
+let decode_forest ~n ~per_vertex =
+  let rounds = if Array.length per_vertex = 0 then 0 else Array.length per_vertex.(0) in
+  decode_rounds ~n ~rounds (fun j -> Array.map (fun stack -> stack.(j)) per_vertex)
+
 let referee config ~n ~sketches coins =
   let params = sampler_params config ~n coins in
-  (* Parse every vertex's stack into one flat arena borrow: the regions
-     live exactly as long as the Borůvka decode below, which uses the
-     distinct keys "sf.decode-acc" / "sparse_recovery.decode". *)
-  let sw = stack_words params in
-  let buf =
-    Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "sf.referee" (Array.length sketches * sw)
-  in
-  let per_vertex = Array.mapi (fun v r -> read_stack_into params buf (v * sw) r) sketches in
-  decode_forest ~n ~per_vertex
+  (* A stack is serialised round by round, so each reader yields round
+     j's sampler just before Borůvka round j needs it. Every round is
+     parsed into the same arena borrow (round j-1's samplers are dead by
+     then), so the referee holds n samplers, not n stacks, and rounds
+     after the forest stops growing are never parsed. The decode itself
+     uses the distinct keys "sf.decode-acc" / "sparse_recovery.decode". *)
+  let arena = Stdx.Scratch.domain () in
+  let words = Array.fold_left (fun acc p -> max acc (L0.size_words p)) 0 params in
+  decode_rounds ~n ~rounds:(Array.length params) (fun j ->
+      let buf = Stdx.Scratch.dirty_ints arena "sf.referee" (Array.length sketches * words) in
+      Array.mapi (fun v r -> L0.read_into params.(j) buf (v * words) r) sketches)
 
 let protocol ?(config = default_config) ~n () =
   {

@@ -6,8 +6,9 @@
     Each vertex serialises [⌈log2 n⌉ + 1] independent L0-samplers of its
     signed edge-incidence vector (fresh randomness per Borůvka round, so
     adaptivity never reuses a sampler). The referee decodes round by round:
-    it sums the current round's samplers over each component, draws an
-    outgoing edge, and merges. *)
+    it parses the current round's sampler off every vertex's message,
+    sums them over each component, draws an outgoing edge, and merges.
+    Rounds after the forest stops growing are never parsed. *)
 
 type config = { sparsity : int; reps : int }
 
@@ -85,11 +86,15 @@ val read_stack_into :
 (** [read_stack_into params buf off r] deserialises one vertex's stack
     into the caller-owned region at [buf.(off ..)] ({!stack_words} ints,
     every slot overwritten) and returns the per-round sampler views.
-    How referees parse whole instances into a single arena borrow. *)
+    How the connectivity referees parse one certificate layer's stacks
+    into a single arena borrow. *)
 
 val decode_forest :
   n:int -> per_vertex:Linear_sketch.L0_sampler.t array array -> Dgraph.Graph.edge list
 (** The Borůvka referee over deserialised (or directly maintained)
     per-vertex sampler stacks. Component sums accumulate in an arena
     borrow under the key ["sf.decode-acc"]; input stacks are not
-    modified. *)
+    modified. The one-round {!protocol}'s referee runs the same decode
+    but parses each round's samplers only when that round starts, into
+    one [n × size_words] borrow (key ["sf.referee"]) shared by the
+    rounds. *)

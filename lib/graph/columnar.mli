@@ -3,7 +3,9 @@
     These are the allocation-disciplined interior loops of every
     {!Graph} freeze (sort, dedup, CSR fill) and of
     {!Hypergraph.Builder.freeze} (the incidence fill): plain int arrays
-    in, plain int arrays out, no closures on the hot paths. Their
+    in, plain int arrays out, no closures on the hot paths. A graph
+    freeze whose keys already arrive in order calls only
+    {!csr_of_sorted_keys}, so it borrows nothing. Their
     internal scratch (the radix sort's swap buffer and byte counters,
     the incidence fill's write cursors) is borrowed from the per-domain
     {!Stdx.Scratch} arena rather than allocated, so repeated freezes of
@@ -28,10 +30,12 @@ val csr_of_sorted_keys : n:int -> int array -> int -> int array * int array
 (** [csr_of_sorted_keys ~n keys len] is [(row_start, col)], the merged
     undirected neighbour CSR of the first [len] entries of [keys]:
     ascending edge keys [u*n + v] with [u < v < n], duplicates adjacent
-    and counted once. [row_start] has length [n+1], each row of [col] is
-    sorted ascending. One counting pass (the ["graph.dedup"] trace span),
-    one prefix sum and one scatter (["graph.csr-fill"]); no per-row
-    sort, no edge columns, no arena borrow. *)
+    and counted once. Only those [len] entries are read, so a longer
+    builder array is handed over as is, without a copy. [row_start] has
+    length [n+1], each row of [col] is sorted ascending. One counting
+    pass (the ["graph.dedup"] trace span), one prefix sum and one
+    scatter (["graph.csr-fill"]); no per-row sort, no edge columns, no
+    arena borrow. *)
 
 val incidence_of_segments :
   cod_count:int -> seg_row:int array -> seg_val:int array -> int array * int array

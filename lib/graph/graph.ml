@@ -8,9 +8,11 @@
 
    Construction funnels through [of_keys]: an edge (u, v) with u < v is
    the single int key u*n + v (safe while n < 2^31 on 64-bit OCaml
-   ints); the keys are radix-sorted, then [Columnar.csr_of_sorted_keys]
-   counts the distinct ones and scatters them into the rows, each phase
-   under its own "graph.sort"/"graph.dedup"/"graph.csr-fill" trace span.
+   ints); keys that arrive unordered are radix-sorted, keys that arrive
+   ascending (every generator that scans vertex pairs in order) are not,
+   then [Columnar.csr_of_sorted_keys] counts the distinct ones and
+   scatters them into the rows, each phase under its own
+   "graph.sort"/"graph.dedup"/"graph.csr-fill" trace span.
    [Builder] is the mutable front end for incremental assembly, and
    [of_sorted_csr] / [disjoint_union] adopt already-CSR-shaped input
    without re-sorting. *)
@@ -23,18 +25,36 @@ let normalize_edge u v =
   if u = v then invalid_arg "Graph.normalize_edge: self-loop";
   if u < v then (u, v) else (v, u)
 
-(* Build from the first [len] entries of [keys] (destroyed by sorting);
-   duplicates are collapsed. The three phases — sort, the distinct
-   count, CSR fill — each run inside a trace span nested under
-   "graph.freeze", so a Perfetto view of any experiment shows where
-   graph-construction time goes. [begin_]/[end_] is safe here: freezes
-   happen on exactly one logical task per domain. *)
+(* Whether the first [len] entries of [keys] are non-decreasing. *)
+let ascending keys len =
+  let i = ref 1 in
+  while !i < len && keys.(!i - 1) <= keys.(!i) do
+    incr i
+  done;
+  !i >= len
+
+(* Build from the first [len] entries of [keys]; duplicates are
+   collapsed. Keys already in order go straight to the CSR fill, which
+   reads only those [len] entries: no copy, no sort, no arena borrow.
+   Otherwise the prefix is sorted (in place when it is the whole array,
+   on a copy when not), so the caller's array may be reordered and must
+   not be read afterwards. The three phases — sort, the distinct count,
+   CSR fill — each run inside a trace span nested under "graph.freeze",
+   so a Perfetto view of any experiment shows where graph-construction
+   time goes. [begin_]/[end_] is safe here: freezes happen on exactly
+   one logical task per domain. *)
 let of_keys n keys len =
   Stdx.Trace.begin_ "graph.freeze";
-  let keys = if len = Array.length keys then keys else Array.sub keys 0 len in
-  Stdx.Trace.begin_ "graph.sort";
-  Columnar.sort_keys keys;
-  Stdx.Trace.end_ ();
+  let keys =
+    if ascending keys len then keys
+    else begin
+      let keys = if len = Array.length keys then keys else Array.sub keys 0 len in
+      Stdx.Trace.begin_ "graph.sort";
+      Columnar.sort_keys keys;
+      Stdx.Trace.end_ ();
+      keys
+    end
+  in
   let row_start, col = Columnar.csr_of_sorted_keys ~n keys len in
   Stdx.Trace.end_ ();
   { n; m = Array.length col / 2; row_start; col }

@@ -3,9 +3,10 @@
     This is the substrate every layer above shares: the RS construction, the
     hard distribution, the sketching protocols and the referee all exchange
     values of this type. The representation is columnar (DESIGN.md §8):
-    flat normalized edge columns in lexicographic order plus a frozen
-    CSR neighbour store (rows sorted ascending), both filled by one
-    sort + dedup freeze over packed [u*n + v] edge keys. Both
+    a frozen CSR neighbour store (rows sorted ascending, the entries
+    above the diagonal being the edges in lexicographic order), filled
+    by one sort + dedup freeze over packed [u*n + v] edge keys; keys
+    that arrive in ascending order skip the sort. Both
     neighbourhood queries and whole-edge-set scans are cache-friendly,
     deterministic and allocation-free. Graphs are assembled either
     through the legacy list-taking {!create}, or — on hot paths —
@@ -31,7 +32,8 @@ val create : int -> edge list -> t
     the edge count is known), [add_edge] in any order — duplicates and
     unnormalised endpoint order are fine — then [freeze] once into an
     immutable graph. Freezing sorts and deduplicates in one pass over a
-    flat key array; the builder must not be reused afterwards. *)
+    flat key array (no sort when the edges were added in ascending
+    order); the builder must not be reused afterwards. *)
 module Builder : sig
   type graph := t
 

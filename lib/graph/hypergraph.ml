@@ -3,7 +3,8 @@
    A hyperedge is its sorted set of distinct pins (arity >= 2). The
    builder appends each normalised hyperedge to a flat row buffer
    ([data], with row starts in [offs]); [freeze] sorts the rows
-   lexicographically (shorter prefix first), drops adjacent duplicates,
+   lexicographically (shorter prefix first; [of_graph]'s arrive in that
+   order and skip the sort), drops adjacent duplicates,
    and fills two frozen CSRs: the pins segments (edge -> sorted
    vertices, [pin_row]/[pin_val]) and the incidence index (vertex ->
    incident edge ids, ascending, [inc_row]/[inc_val]). Edge ids thus
@@ -39,6 +40,29 @@ let normalize_pins n pins =
   done;
   if !distinct < 2 then invalid_arg "Hypergraph: hyperedge needs >= 2 distinct pins";
   if !distinct = k then pins else Array.sub pins 0 !distinct
+
+(* Lexicographic order on rows [a] and [b] of a builder's flat buffer
+   (row [i] is [data.(offs.(i)) .. data.(offs.(i+1)-1)]), shorter prefix
+   first. A plain loop over the common prefix: a comparison captures
+   nothing, so the row sort allocates no closure per compare. *)
+let compare_rows data offs a b =
+  let oa = offs.(a) and ob = offs.(b) in
+  let la = offs.(a + 1) - oa and lb = offs.(b + 1) - ob in
+  let common = min la lb in
+  let j = ref 0 in
+  while !j < common && data.(oa + !j) = data.(ob + !j) do
+    incr j
+  done;
+  if !j < common then Int.compare data.(oa + !j) data.(ob + !j) else Int.compare la lb
+
+(* Whether rows [0 .. rlen-1] already arrive in lexicographic order
+   (duplicates adjacent), as [of_graph] adds them. *)
+let rows_ascending data offs rlen =
+  let i = ref 1 in
+  while !i < rlen && compare_rows data offs (!i - 1) !i <= 0 do
+    incr i
+  done;
+  !i >= rlen
 
 module Builder = struct
   type hypergraph = t
@@ -79,9 +103,10 @@ module Builder = struct
     Array.blit pins 0 b.data b.dlen l;
     b.dlen <- b.dlen + l
 
-  (* Lexicographic sort of row indices, adjacent dedup into the pins
-     CSR, then the incidence fill — each phase under its own
-     "hypergraph.*" span nested in "hypergraph.freeze". *)
+  (* Lexicographic sort of row indices (skipped when the rows arrive
+     in order), adjacent dedup into the pins CSR, then the incidence
+     fill — each phase under its own "hypergraph.*" span nested in
+     "hypergraph.freeze". *)
   let freeze b : hypergraph =
     Stdx.Trace.begin_ "hypergraph.freeze";
     let n = b.n and data = b.data and rlen = b.rlen in
@@ -96,26 +121,17 @@ module Builder = struct
     in
     offs.(rlen) <- b.dlen;
     let row_len i = offs.(i + 1) - offs.(i) in
-    let compare_rows a b =
-      let la = row_len a and lb = row_len b in
-      let oa = offs.(a) and ob = offs.(b) in
-      let rec go j =
-        if j >= la || j >= lb then compare la lb
-        else
-          let c = compare (data.(oa + j) : int) data.(ob + j) in
-          if c <> 0 then c else go (j + 1)
-      in
-      go 0
-    in
-    let order = Array.init rlen (fun i -> i) in
-    Stdx.Trace.begin_ "hypergraph.sort";
-    Array.sort compare_rows order;
-    Stdx.Trace.end_ ();
+    let order = Array.init rlen Fun.id in
+    if not (rows_ascending data offs rlen) then begin
+      Stdx.Trace.begin_ "hypergraph.sort";
+      Array.sort (compare_rows data offs) order;
+      Stdx.Trace.end_ ()
+    end;
     Stdx.Trace.begin_ "hypergraph.dedup";
     let keep = Array.make rlen false in
     let m = ref 0 and total = ref 0 in
     for i = 0 to rlen - 1 do
-      if i = 0 || compare_rows order.(i - 1) order.(i) <> 0 then begin
+      if i = 0 || compare_rows data offs order.(i - 1) order.(i) <> 0 then begin
         keep.(i) <- true;
         incr m;
         total := !total + row_len order.(i)

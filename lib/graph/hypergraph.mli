@@ -15,9 +15,10 @@ type t
 (** Mutable hyperedge accumulator: [create] a builder, [add_edge] pin
     arrays in any order — duplicate edges, duplicate pins within an edge
     and unsorted pins are all fine — then [freeze] once. Freezing runs
-    a lexicographic row sort, an adjacent dedup and the incidence fill
-    under [hypergraph.sort] / [.dedup] / [.csr-fill] trace spans, nested
-    in [hypergraph.freeze]. *)
+    a lexicographic row sort (skipped when the rows were added in that
+    order), an adjacent dedup and the incidence fill under
+    [hypergraph.sort] / [.dedup] / [.csr-fill] trace spans, nested in
+    [hypergraph.freeze]. *)
 module Builder : sig
   type hypergraph := t
 

@@ -19,6 +19,11 @@
 # sorted-array lists or the copy-free players fails the gate. Since
 # every reading follows a minor collection, alloc_bytes at jobs=1 is
 # exact, not good to one minor heap, and a tight ceiling does not flap.
+# upper-bounds (20,110,672 bytes, ~19.2 MB) is tight too: its 24 MiB
+# ceiling sits below the 32,272,600 bytes it allocated while every
+# graph freeze radix-sorted keys that arrived in order and the AGM
+# referee parsed all Borůvka rounds before decoding the first, so
+# losing either fails the gate.
 # Raise a ceiling only with a PERFORMANCE.md update explaining the new
 # cost.
 #
@@ -62,5 +67,6 @@ gate info-accounting  202375168   # 193 MB (measured ~126 MB; baseline 578 MB)
 gate connectivity     146800640   # 140 MB (measured ~73 MB;  baseline 419 MB)
 gate round-frontier   8388608     # 8 MB   (measured ~1.2 MB; baseline 28 MB)
 gate coloring-contrast 6291456    # 6 MiB  (measured ~3.7 MB; boxed Prng 13.5 MB; list Palette 22.6 MB)
+gate upper-bounds     25165824    # 24 MiB (measured ~19.2 MB; sorted freezes and all-rounds parse 30.8 MB)
 
 echo "alloc-smoke: OK"

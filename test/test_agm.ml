@@ -6,6 +6,9 @@ module SF = Agm.Spanning_forest
 module BD = Agm.Bridge_demo
 module G = Dgraph.Graph
 module PC = Sketchmodel.Public_coins
+module Conn = Agm.Connectivity
+module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -101,6 +104,98 @@ let test_rounds_grow_with_n () =
   checkb "rounds increasing" true (SF.rounds 1024 > SF.rounds 16);
   checki "rounds small" 2 (SF.rounds 2)
 
+(* --- The flat-parse oracle ---
+
+   The referees parse a round, a forest or a graph's stacks only when
+   the decode reaches it. The oracle is the flat parse they replace:
+   every stack of every message parsed up front, each into its own
+   buffer, then decoded. Swapped into the same protocols (same players,
+   same coins), it must give identical forests and verdicts. *)
+
+let parse_stack params r =
+  SF.read_stack_into params (Array.make (SF.stack_words params) 0) 0 r
+
+let flat_sf_referee ~n ~sketches coins =
+  let params = SF.sampler_params SF.default_config ~n coins in
+  SF.decode_forest ~n ~per_vertex:(Array.map (parse_stack params) sketches)
+
+let flat_forests_referee ~k ~n ~sketches coins =
+  let params =
+    Array.init k (fun j -> SF.sampler_params SF.default_config ~n (PC.derive coins "agm-kforest" j))
+  in
+  (* Array.map runs in index order, so each reader yields stacks 0..k-1. *)
+  let parsed = Array.map (fun r -> Array.map (fun p -> parse_stack p r) params) sketches in
+  let forests = Array.make k [] in
+  for j = 0 to k - 1 do
+    let stacks = Array.map (fun stacks -> stacks.(j)) parsed in
+    for prior = 0 to j - 1 do
+      List.iter
+        (fun (u, v) ->
+          SF.stack_update ~n stacks.(u) u v ~weight:(-1);
+          SF.stack_update ~n stacks.(v) v u ~weight:(-1))
+        forests.(prior)
+    done;
+    forests.(j) <- SF.decode_forest ~n ~per_vertex:stacks
+  done;
+  forests
+
+let flat_bipartite_referee ~n ~sketches coins =
+  let g_params = SF.sampler_params SF.default_config ~n (PC.derive coins "agm-bip-g" 0) in
+  let cover_params =
+    SF.sampler_params SF.default_config ~n:(2 * n) (PC.derive coins "agm-bip-cover" 0)
+  in
+  let g_stacks = Array.make n [||] and cover_stacks = Array.make (2 * n) [||] in
+  Array.iteri
+    (fun v r ->
+      g_stacks.(v) <- parse_stack g_params r;
+      cover_stacks.(v) <- parse_stack cover_params r;
+      cover_stacks.(n + v) <- parse_stack cover_params r)
+    sketches;
+  let g_components = n - List.length (SF.decode_forest ~n ~per_vertex:g_stacks) in
+  let cover_components =
+    (2 * n) - List.length (SF.decode_forest ~n:(2 * n) ~per_vertex:cover_stacks)
+  in
+  cover_components = 2 * g_components
+
+let oracle_run p referee g coins =
+  fst (Rounds.run (Rounds.one_round { p with Model.referee }) g coins)
+
+let test_referees_match_flat_parse () =
+  let k = 3 in
+  List.iter
+    (fun (n, p) ->
+      for seed = 1 to 2 do
+        let g = Dgraph.Gen.gnp (Stdx.Prng.create ((n * 31) + seed)) n p in
+        let coins = PC.create ((seed * 7) + n) in
+        let label = Printf.sprintf "n=%d p=%.2f seed=%d" n p seed in
+        Alcotest.(check (list (pair int int)))
+          ("spanning forest, " ^ label)
+          (oracle_run (SF.protocol ~n ()) flat_sf_referee g coins)
+          (fst (SF.run g coins));
+        let cert, _ = Conn.k_forests g ~k coins in
+        Alcotest.(check (array (list (pair int int))))
+          (Printf.sprintf "%d forests, %s" k label)
+          (oracle_run (Conn.forests_protocol ~n ~k ()) (flat_forests_referee ~k) g coins)
+          cert.Conn.forests;
+        checkb ("bipartiteness, " ^ label)
+          (oracle_run (Conn.bipartiteness_protocol ~n ()) flat_bipartite_referee g coins)
+          (fst (Conn.is_bipartite_via_sketches g coins))
+      done)
+    [ (1, 0.); (2, 1.); (9, 0.3); (16, 0.5); (20, 0.1) ]
+
+(* The referee parses one round's samplers at a time into one shared
+   borrow, so after a run at n = 256 the domain arena holds n samplers
+   (about 364 k words with the player's stack and the decode scratch),
+   not n stacks of 9 rounds (3.17 M words with the flat parse). *)
+let test_referee_arena_one_round () =
+  let g = Dgraph.Gen.gnp (Stdx.Prng.create 5) 256 0.25 in
+  let arena = Stdx.Scratch.domain () in
+  Stdx.Scratch.clear arena;
+  let forest, _ = SF.run g (PC.create 7) in
+  checkb "spanning forest" true (Dgraph.Components.is_spanning_forest g forest);
+  let live = (Stdx.Scratch.stats arena).Stdx.Scratch.live_words in
+  checkb (Printf.sprintf "arena holds %d words, under 1 M" live) true (live < 1_000_000)
+
 let test_bridge_finds_planted () =
   let hits = ref 0 in
   for seed = 1 to 10 do
@@ -143,6 +238,9 @@ let () =
           Alcotest.test_case "cost accounted" `Quick test_forest_cost_accounted;
           Alcotest.test_case "connected components" `Quick test_connected_components;
           Alcotest.test_case "rounds grow" `Quick test_rounds_grow_with_n;
+          Alcotest.test_case "referees match the flat parse" `Quick
+            test_referees_match_flat_parse;
+          Alcotest.test_case "referee arena holds one round" `Quick test_referee_arena_one_round;
         ] );
       ( "bridge",
         [

@@ -127,6 +127,24 @@ let test_gen_gnp_allocation () =
   checkb "edges drawn" true (G.m g > 1000);
   checkb (Printf.sprintf "gnp 512 allocated %.0f B, under 256 KB" bytes) true (bytes < 262144.)
 
+(* G(n, 1/2) at n = 1024 adds its ~262k edge keys in ascending order,
+   so the freeze skips the radix sort: no copy of the keys, no swap
+   buffer, no arena borrow. What remains is the builder's key array and
+   the CSR (about 8.4 MB); sorting added the radix buffer and the
+   arena's two borrows (12.5 MB in all). *)
+let test_ascending_freeze_allocation () =
+  let rng = Stdx.Prng.create 8 in
+  let arena = Stdx.Scratch.domain () in
+  let borrows = (Stdx.Scratch.stats arena).borrows in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let g = Dgraph.Gen.gnp rng 1024 0.5 in
+  Gc.minor ();
+  let bytes = Gc.allocated_bytes () -. before in
+  checkb "edges drawn" true (G.m g > 250_000);
+  checki "no arena borrow" 0 ((Stdx.Scratch.stats arena).borrows - borrows);
+  checkb (Printf.sprintf "gnp 1024 allocated %.0f B, under 10 MB" bytes) true (bytes < 10485760.)
+
 let test_gen_bipartite () =
   let rng = Stdx.Prng.create 2 in
   let g = Dgraph.Gen.random_bipartite rng ~left:5 ~right:7 ~p:1.0 in
@@ -384,6 +402,37 @@ let qcheck_tests =
            let b = G.Builder.create n in
            List.iter (fun (u, v) -> G.Builder.add_edge b u v) edges;
            G.equal g (G.Builder.freeze b)));
+    (* [of_keys] takes the sort-free path when the keys arrive ascending
+       and the sort when they do not: the sorted, duplicate-free edge list
+       (also with each edge repeated in place) and a shuffle of it with
+       repeats and flipped endpoints must freeze to the same graph, through both list and array entry
+       points. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"ordered and shuffled keys freeze alike" ~count:300
+         QCheck.(pair small_graph_gen int)
+         (fun ((n, edges), seed) ->
+           let sorted = list_model edges in
+           let rng = Stdx.Prng.create seed in
+           let messy =
+             Array.of_list
+               (List.concat_map
+                  (fun (u, v) ->
+                    let e = if Stdx.Prng.bool rng then (u, v) else (v, u) in
+                    if Stdx.Prng.bool rng then [ e; (v, u) ] else [ e ])
+                  sorted)
+           in
+           for i = Array.length messy - 1 downto 1 do
+             let j = Stdx.Prng.int rng (i + 1) in
+             let t = messy.(i) in
+             messy.(i) <- messy.(j);
+             messy.(j) <- t
+           done;
+           let g = G.create n sorted in
+           G.equal g (G.of_edge_array n (Array.of_list sorted))
+           && G.equal g (G.create n (List.concat_map (fun e -> [ e; e ]) sorted))
+           && G.equal g (G.create n (Array.to_list messy))
+           && G.equal g (G.of_edge_array n messy)
+           && G.equal g (G.of_edge_array n (G.edges_array g))));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"edge scans match the list model" ~count:300 small_graph_gen
          (fun (n, edges) ->
@@ -463,6 +512,7 @@ let () =
           Alcotest.test_case "matchings" `Quick test_gen_matchings;
           Alcotest.test_case "gnp extremes" `Quick test_gen_gnp_extremes;
           Alcotest.test_case "gnp allocation" `Quick test_gen_gnp_allocation;
+          Alcotest.test_case "ascending freeze allocation" `Quick test_ascending_freeze_allocation;
           Alcotest.test_case "bipartite" `Quick test_gen_bipartite;
           Alcotest.test_case "grid" `Quick test_gen_grid;
           Alcotest.test_case "configuration model" `Quick test_gen_configuration_model;
